@@ -30,7 +30,7 @@ fn flowreuse_records_a_json_baseline_and_enforces_identity() {
     assert!(out.contains("baseline recorded"), "{out}");
     assert!(out.contains("| figure2_tiny "), "{out}");
     assert!(out.contains("| scratch "), "{out}");
-    assert!(out.contains("| warm "), "{out}");
+    assert!(!out.contains("| warm "), "{out}");
     assert!(out.contains("| ggt "), "{out}");
     let json = std::fs::read_to_string(dir.join("BENCH_flow.json")).unwrap();
     for key in [
@@ -40,7 +40,6 @@ fn flowreuse_records_a_json_baseline_and_enforces_identity() {
         "\"speedup_meaningful\"",
         "\"graph\": \"figure2_tiny\"",
         "\"mode\": \"scratch\"",
-        "\"mode\": \"warm\"",
         "\"mode\": \"ggt\"",
         "\"h\": 4",
         "\"threads\": 1",

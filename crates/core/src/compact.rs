@@ -34,16 +34,13 @@
 //! ρ-dependent terminal capacities. [`InstanceSolver`] therefore builds
 //! **one** [`ParametricNetwork`] per instance (lazily, on the first
 //! probe) and re-tunes it between solves, warm-starting from the
-//! retained residual flow when the change is monotone. The free
-//! functions below are thin compatibility wrappers that build a
-//! throwaway solver; hot paths hold an `InstanceSolver` instead.
+//! retained residual flow and retracting it when a capacity shrinks.
 //! Because minimal/maximal min-cut source sides are canonical
 //! (flow-independent) and uniform capacity scaling preserves them, the
 //! reuse path is bit-identical to rebuilding from scratch — pinned by
 //! the `flow_reuse` equivalence suites.
 
 use lhcds_clique::CliqueSet;
-use lhcds_flow::parametric::ReusePolicy;
 use lhcds_flow::rational::lcm_up_to;
 use lhcds_flow::{FlowReuse, GgtSolver, ParametricNetwork, Ratio};
 use lhcds_graph::VertexId;
@@ -167,26 +164,18 @@ pub fn local_instance(cliques: &CliqueSet, set: &[VertexId]) -> (LocalInstance, 
 /// — expressed once at base scale `lcm(1..=h)`; the ρ-dependent
 /// terminal arcs (`s → v`, `v → t`) and the boundary in-arcs are
 /// *parametric* and re-tuned per probe. Every probe of every method
-/// reuses the same [`ParametricNetwork`], warm-starting when the
-/// capacity change is monotone.
+/// reuses the same [`ParametricNetwork`], whose flow is never reset.
 ///
 /// The [`FlowReuse`] tier ([`InstanceSolver::with_reuse`]) picks the
 /// cost model: [`FlowReuse::Scratch`] rebuilds the network before every
-/// solve (the pre-parametric model), [`FlowReuse::Warm`] keeps it but
-/// resets the flow on capacity decreases (PR 5), and the default
-/// [`FlowReuse::Ggt`] never resets — decreases retract the flow along
-/// its own paths, and the full-ladder entry point
+/// solve (the pre-parametric model), and the default [`FlowReuse::Ggt`]
+/// keeps it — increases warm-start, decreases retract the flow along
+/// its own paths — while the full-ladder entry point
 /// [`InstanceSolver::ggt_ladder`] replaces the probe schedule by GGT
-/// divide-and-conquer. Results are bit-identical across all tiers.
-///
-/// The instance parameter is generic over ownership: long-lived holders
-/// (the IPPV driver's [`crate::verify::BasicVerifier`], the
-/// dense-decomposition ladder) own their `LocalInstance`, while
-/// one-shot callers (the free wrapper functions below) borrow it —
-/// neither pays a copy of the clique slab.
+/// divide-and-conquer. Results are bit-identical across both tiers.
 #[derive(Debug, Clone)]
-pub struct InstanceSolver<I: std::borrow::Borrow<LocalInstance> = LocalInstance> {
-    inst: I,
+pub struct InstanceSolver {
+    inst: LocalInstance,
     reuse: FlowReuse,
     boundary_enabled: bool,
     /// Worker threads for [`InstanceSolver::ggt_ladder`]'s GGT
@@ -201,28 +190,26 @@ pub struct InstanceSolver<I: std::borrow::Borrow<LocalInstance> = LocalInstance>
     boundary_in_base: Vec<i128>,
 }
 
-impl<I: std::borrow::Borrow<LocalInstance>> InstanceSolver<I> {
-    /// Wraps `inst` (owned or borrowed) at the default reuse tier
-    /// ([`FlowReuse::Ggt`]).
-    pub fn new(inst: I) -> InstanceSolver<I> {
+impl InstanceSolver {
+    /// Wraps `inst` at the default reuse tier ([`FlowReuse::Ggt`]).
+    pub fn new(inst: LocalInstance) -> InstanceSolver {
         InstanceSolver::with_reuse(inst, FlowReuse::default())
     }
 
     /// Wraps `inst` at an explicit [`FlowReuse`] tier.
-    pub fn with_reuse(inst: I, reuse: FlowReuse) -> InstanceSolver<I> {
-        let instance = inst.borrow();
-        let n = instance.n;
-        let h = instance.h as i128;
-        let base = lcm_up_to(instance.h as u32);
+    pub fn with_reuse(inst: LocalInstance, reuse: FlowReuse) -> InstanceSolver {
+        let n = inst.n;
+        let h = inst.h as i128;
+        let base = lcm_up_to(inst.h as u32);
         let mut deg_interior = vec![0i128; n];
         let mut deg_boundary = vec![0i128; n];
         let mut boundary_in_base = Vec::new();
-        for members in instance.full.chunks_exact(instance.h) {
+        for members in inst.full.chunks_exact(inst.h) {
             for &v in members {
                 deg_interior[v as usize] += base;
             }
         }
-        for b in &instance.boundary {
+        for b in &inst.boundary {
             let cnt = b.inside.len() as i128;
             debug_assert!(cnt >= 1 && cnt < h, "boundary clique must straddle");
             let incap = h * base / cnt; // exact: cnt | lcm(1..=h)
@@ -252,7 +239,7 @@ impl<I: std::borrow::Borrow<LocalInstance>> InstanceSolver<I> {
 
     /// The wrapped instance.
     pub fn instance(&self) -> &LocalInstance {
-        self.inst.borrow()
+        &self.inst
     }
 
     /// Enables/disables the boundary cliques *in the shared network*
@@ -311,10 +298,10 @@ impl<I: std::borrow::Borrow<LocalInstance>> InstanceSolver<I> {
             self.net = None;
         }
         if self.net.is_none() {
-            self.net = Some(Self::build_network(self.inst.borrow()));
+            self.net = Some(Self::build_network(&self.inst));
         }
         let (n, h, gadget_nodes) = {
-            let inst = self.inst.borrow();
+            let inst = &self.inst;
             (
                 inst.n,
                 inst.h as i128,
@@ -353,12 +340,7 @@ impl<I: std::borrow::Borrow<LocalInstance>> InstanceSolver<I> {
                 0
             });
         }
-        let policy = if self.reuse == FlowReuse::Ggt {
-            ReusePolicy::Retract
-        } else {
-            ReusePolicy::Reset
-        };
-        pn.solve_with(scale, &caps, policy);
+        pn.solve(scale, &caps);
     }
 
     fn vertex_side(&self, side: &[bool]) -> Vec<bool> {
@@ -521,7 +503,7 @@ impl<I: std::borrow::Borrow<LocalInstance>> InstanceSolver<I> {
             self.boundary_enabled || self.instance().boundary.is_empty(),
             "decomposition needs the boundary cliques enabled"
         );
-        let inst = self.inst.borrow();
+        let inst = &self.inst;
         let n = inst.n;
         if n == 0 {
             return Vec::new();
@@ -555,41 +537,6 @@ impl<I: std::borrow::Borrow<LocalInstance>> InstanceSolver<I> {
         }
         g.principal_partition_par(self.threads)
     }
-}
-
-/// Minimal maximizer of `|Ψ(A)| − ρ|A|` over vertex subsets (see
-/// [`InstanceSolver::max_excess_set`]). Compatibility wrapper over a
-/// throwaway borrowing solver; probe-heavy callers should hold an
-/// [`InstanceSolver`].
-pub fn max_excess_set(inst: &LocalInstance, rho: Ratio) -> Vec<bool> {
-    InstanceSolver::new(inst).max_excess_set(rho)
-}
-
-/// `IsDensest` (see [`InstanceSolver::is_densest`]). Compatibility
-/// wrapper over a throwaway solver.
-pub fn is_densest(inst: &LocalInstance, rho: Ratio) -> bool {
-    InstanceSolver::new(inst).is_densest(rho)
-}
-
-/// `DeriveCompact(G, ρ − 1/n², P)` (see
-/// [`InstanceSolver::derive_compact`]). Compatibility wrapper over a
-/// throwaway solver.
-pub fn derive_compact(inst: &LocalInstance, rho: Ratio) -> Vec<bool> {
-    InstanceSolver::new(inst).derive_compact(rho)
-}
-
-/// Exact densest-subgraph decomposition (see
-/// [`InstanceSolver::densest_decomposition`]). The wrapper still reuses
-/// one network across the whole Goldberg ladder of this call.
-pub fn densest_decomposition(inst: &LocalInstance) -> Option<(Ratio, Vec<bool>)> {
-    InstanceSolver::new(inst).densest_decomposition()
-}
-
-/// Marginal-density step (see
-/// [`InstanceSolver::next_density_level`]). Ladder-walking callers
-/// should hold an [`InstanceSolver`] so all levels share one network.
-pub fn next_density_level(inst: &LocalInstance, forced: &[bool]) -> Option<(Ratio, Vec<bool>)> {
-    InstanceSolver::new(inst).next_density_level(forced)
 }
 
 /// Number of interior cliques fully inside `set` plus boundary cliques
@@ -627,6 +574,11 @@ mod tests {
         local_instance(&cs, &all).0
     }
 
+    /// A fresh solver on a copy of `inst` (one network per call).
+    fn solver(inst: &LocalInstance) -> InstanceSolver {
+        InstanceSolver::new(inst.clone())
+    }
+
     fn complete(n: usize) -> CsrGraph {
         let mut b = GraphBuilder::new();
         for u in 0..n as u32 {
@@ -654,9 +606,9 @@ mod tests {
         let inst = instance_of(&complete(6), 3);
         let rho = inst.density().unwrap();
         assert_eq!(rho, Ratio::new(20, 6));
-        assert!(is_densest(&inst, rho));
+        assert!(solver(&inst).is_densest(rho));
         // but not densest at any smaller threshold
-        assert!(!is_densest(&inst, rho - Ratio::new(1, 100)));
+        assert!(!solver(&inst).is_densest(rho - Ratio::new(1, 100)));
     }
 
     #[test]
@@ -672,9 +624,9 @@ mod tests {
         let inst = instance_of(&b.build(), 3);
         let rho = inst.density().unwrap();
         assert_eq!(rho, Ratio::new(10, 6));
-        assert!(!is_densest(&inst, rho));
+        assert!(!solver(&inst).is_densest(rho));
         // the excess set is exactly the K5
-        let set = max_excess_set(&inst, rho);
+        let set = solver(&inst).max_excess_set(rho);
         assert_eq!(set, vec![true, true, true, true, true, false]);
     }
 
@@ -688,7 +640,7 @@ mod tests {
         }
         b.add_edge(4, 5).add_edge(5, 6);
         let inst = instance_of(&b.build(), 3);
-        let (rho, members) = densest_decomposition(&inst).unwrap();
+        let (rho, members) = solver(&inst).densest_decomposition().unwrap();
         assert_eq!(rho, Ratio::from_int(2)); // 10 triangles / 5 vertices
         assert_eq!(members, vec![true, true, true, true, true, false, false]);
     }
@@ -706,7 +658,7 @@ mod tests {
             }
         }
         let inst = instance_of(&b.build(), 3);
-        let (rho, members) = densest_decomposition(&inst).unwrap();
+        let (rho, members) = solver(&inst).densest_decomposition().unwrap();
         assert_eq!(rho, Ratio::from_int(1));
         assert!(members.iter().all(|&m| m));
     }
@@ -715,7 +667,7 @@ mod tests {
     fn clique_free_universe_has_no_decomposition() {
         let g = CsrGraph::from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]);
         let inst = instance_of(&g, 3);
-        assert!(densest_decomposition(&inst).is_none());
+        assert!(solver(&inst).densest_decomposition().is_none());
     }
 
     #[test]
@@ -732,10 +684,10 @@ mod tests {
             }
         }
         let inst = instance_of(&b.build(), 3);
-        let (rho, members) = densest_decomposition(&inst).unwrap();
+        let (rho, members) = solver(&inst).densest_decomposition().unwrap();
         assert_eq!(rho, Ratio::new(13, 6));
         assert!(members.iter().all(|&m| m));
-        assert!(is_densest(&inst, rho));
+        assert!(solver(&inst).is_densest(rho));
     }
 
     #[test]
@@ -752,13 +704,13 @@ mod tests {
         let all = vec![true, true];
         assert_eq!(count_inside(&inst, &all), 1);
         // at rho = 1/2 the pair is exactly compact: no denser subset
-        assert!(is_densest(&inst, Ratio::new(1, 2)));
+        assert!(solver(&inst).is_densest(Ratio::new(1, 2)));
         // at a smaller threshold the pair (or a single vertex) has
         // positive excess
-        let set = max_excess_set(&inst, Ratio::new(1, 3));
+        let set = solver(&inst).max_excess_set(Ratio::new(1, 3));
         assert!(set.iter().any(|&b| b));
         // derive_compact at 1/2 keeps both members
-        let kept = derive_compact(&inst, Ratio::new(1, 2));
+        let kept = solver(&inst).derive_compact(Ratio::new(1, 2));
         assert_eq!(kept, vec![true, true]);
     }
 
@@ -773,7 +725,7 @@ mod tests {
         }
         b.add_edge(4, 5);
         let inst = instance_of(&b.build(), 3);
-        let kept = derive_compact(&inst, Ratio::from_int(2));
+        let kept = solver(&inst).derive_compact(Ratio::from_int(2));
         assert_eq!(kept, vec![true, true, true, true, true, false]);
     }
 
@@ -781,7 +733,7 @@ mod tests {
     fn solver_reuse_matches_scratch_on_a_ladder() {
         // K5 + pendant + tail: the decomposition ladder runs several
         // probes; a single reused network must answer each identically
-        // to the rebuild-per-probe mode, and to the free wrappers.
+        // to the rebuild-per-probe mode and to a fresh solver.
         let mut b = GraphBuilder::new();
         for u in 0..5u32 {
             for v in u + 1..5 {
@@ -796,13 +748,11 @@ mod tests {
 
         let mut reused = InstanceSolver::new(inst.clone());
         let a = reused.densest_decomposition().unwrap();
-        for tier in [FlowReuse::Scratch, FlowReuse::Warm, FlowReuse::Ggt] {
-            let mut s = InstanceSolver::with_reuse(inst.clone(), tier);
-            assert_eq!(a, s.densest_decomposition().unwrap(), "{tier}");
-        }
-        assert_eq!(a, densest_decomposition(&inst).unwrap());
+        let mut scratch = InstanceSolver::with_reuse(inst.clone(), FlowReuse::Scratch);
+        assert_eq!(a, scratch.densest_decomposition().unwrap());
+        assert_eq!(a, solver(&inst).densest_decomposition().unwrap());
         // (the work-counter contracts — one network per ladder, warm
-        // hits along it — live in tests/flow_reuse.rs, which owns its
+        // and retract hits along it — live in tests/flow_reuse.rs, which owns its
         // process so the global counters are quiet)
 
         // per-threshold probes agree too, on yet another shared network
@@ -814,9 +764,9 @@ mod tests {
             Ratio::from_int(2),
             Ratio::new(5, 2),
         ] {
-            assert_eq!(probe.max_excess_set(rho), max_excess_set(&inst, rho));
-            assert_eq!(probe.derive_compact(rho), derive_compact(&inst, rho));
-            assert_eq!(probe.is_densest(rho), is_densest(&inst, rho));
+            assert_eq!(probe.max_excess_set(rho), solver(&inst).max_excess_set(rho));
+            assert_eq!(probe.derive_compact(rho), solver(&inst).derive_compact(rho));
+            assert_eq!(probe.is_densest(rho), solver(&inst).is_densest(rho));
         }
     }
 
@@ -824,7 +774,7 @@ mod tests {
     /// path) and returns `(density, level-mask)` pairs, for comparing
     /// against [`InstanceSolver::ggt_ladder`].
     fn walk_ladder(inst: &LocalInstance) -> Vec<(Ratio, Vec<bool>)> {
-        let mut solver = InstanceSolver::with_reuse(inst, FlowReuse::Scratch);
+        let mut solver = InstanceSolver::with_reuse(inst.clone(), FlowReuse::Scratch);
         let mut forced = vec![false; inst.n];
         let mut out = Vec::new();
         while let Some((rho, level)) = solver.next_density_level(&forced) {
@@ -901,7 +851,10 @@ mod tests {
             full: Vec::new(),
             boundary: Vec::new(),
         };
-        assert_eq!(derive_compact(&bare, Ratio::new(1, 2)), vec![false, false]);
+        assert_eq!(
+            InstanceSolver::new(bare).derive_compact(Ratio::new(1, 2)),
+            vec![false, false]
+        );
     }
 
     #[test]
@@ -912,8 +865,8 @@ mod tests {
             full: Vec::new(),
             boundary: Vec::new(),
         };
-        assert!(max_excess_set(&inst, Ratio::from_int(1)).is_empty());
-        assert!(derive_compact(&inst, Ratio::from_int(1)).is_empty());
+        assert!(solver(&inst).max_excess_set(Ratio::from_int(1)).is_empty());
+        assert!(solver(&inst).derive_compact(Ratio::from_int(1)).is_empty());
         assert!(inst.density().is_none());
     }
 }

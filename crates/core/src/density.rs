@@ -11,8 +11,8 @@
 //! at the maximum subgraph density `ρ*`; each subsequent level
 //! maximizes the *marginal* density over supersets of the union of the
 //! higher levels (the classic principal-partition construction, solved
-//! by [`crate::compact::next_density_level`] with the higher levels
-//! pinned to the source side of the cut).
+//! by [`crate::compact::InstanceSolver::next_density_level`] with the
+//! higher levels pinned to the source side of the cut).
 //!
 //! Exact compact numbers are a strictly stronger deliverable than the
 //! bounds the IPPV pipeline maintains — they answer "how locally dense
@@ -63,12 +63,10 @@ pub fn dense_decomposition_with(g: &CsrGraph, cliques: &CliqueSet) -> DenseDecom
 /// [`dense_decomposition_with`] with the flow-network reuse tier
 /// explicit. Under [`FlowReuse::Ggt`] (the default) the whole ladder is
 /// one GGT principal-partition divide-and-conquer on a single
-/// never-reset network ([`InstanceSolver::ggt_ladder`]); the other
-/// tiers walk the marginal-density probe schedule, with
-/// [`FlowReuse::Warm`] retaining one network across the walk and
-/// [`FlowReuse::Scratch`] rebuilding per probe (the historical cost
-/// model; the `flowreuse` bench A/Bs all three). Output is bit-identical
-/// across tiers.
+/// never-reset network ([`InstanceSolver::ggt_ladder`]); under
+/// [`FlowReuse::Scratch`] the marginal-density probe schedule is walked
+/// with a network rebuilt per probe (the reference cost model; the
+/// `flowreuse` bench A/Bs both). Output is bit-identical across tiers.
 pub fn dense_decomposition_opts(
     g: &CsrGraph,
     cliques: &CliqueSet,
@@ -78,8 +76,8 @@ pub fn dense_decomposition_opts(
 }
 
 /// [`dense_decomposition_opts`] with an explicit worker-thread count
-/// for the GGT divide-and-conquer (ignored by the probe-walk tiers,
-/// which are inherently sequential — each probe's threshold depends on
+/// for the GGT divide-and-conquer (ignored by the scratch probe walk,
+/// which is inherently sequential — each probe's threshold depends on
 /// the previous cut). Output is byte-identical at every thread count.
 pub fn dense_decomposition_threaded(
     g: &CsrGraph,
@@ -268,11 +266,9 @@ mod tests {
         let cliques = CliqueSet::enumerate(&g, 3);
         let scratch = dense_decomposition_opts(&g, &cliques, FlowReuse::Scratch);
         assert_eq!(scratch.levels.len(), 3);
-        for tier in [FlowReuse::Warm, FlowReuse::Ggt] {
-            let d = dense_decomposition_opts(&g, &cliques, tier);
-            assert_eq!(d.levels, scratch.levels, "{tier} tier diverged");
-            assert_eq!(d.phi, scratch.phi, "{tier} tier diverged");
-        }
+        let d = dense_decomposition_opts(&g, &cliques, FlowReuse::Ggt);
+        assert_eq!(d.levels, scratch.levels, "ggt tier diverged");
+        assert_eq!(d.phi, scratch.phi, "ggt tier diverged");
         // (the one-network-per-ladder counter contract lives in
         // tests/flow_reuse.rs, whose process owns the global counters)
     }

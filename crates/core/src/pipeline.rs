@@ -35,23 +35,14 @@
 //! "locally densest" subgraph without a single h-clique is the trivial
 //! whole-component answer and carries no signal.
 //!
-//! ## Parallel verification
+//! ## Threads
 //!
-//! The flow-heavy head of every candidate verification — the exact
-//! local densest decomposition — is a *pure* function of the component
-//! vertex list: it reads only the immutable clique store and builds a
-//! private [`InstanceSolver`]. When [`IppvConfig::parallelism`] grants
-//! more than one thread, the driver therefore runs these decompositions
-//! speculatively on a work-stealing worker pool over the pending
-//! candidate stream (each worker owns its flow scratch — one fresh
-//! solver per component, never a shared network), caches the results
-//! keyed by the exact component, and *commits* verdicts strictly in the
-//! serial processing order on the driver thread. A cache hit is always
-//! exact (purity), a changed candidate simply misses and recomputes, and
-//! the mutable verification state — bounds, output mask, the shared
-//! fast-verifier network — is only ever touched by the commit thread.
-//! Outputs are byte-identical at every thread count; only wall time and
-//! the speculative flow-work counters change.
+//! [`IppvConfig::parallelism`] drives the h-clique enumeration and the
+//! SEQ-kClist++ rounds. The candidate loop itself is serial: each
+//! verification reads the bounds and output mask its predecessors
+//! committed, and every flow it needs is a private network over one
+//! component or one closure `T`. Outputs are byte-identical at every
+//! thread count.
 
 use crate::bounds::{initialize_bounds, Bounds, DEFAULT_SLACK};
 use crate::compact::{local_instance, InstanceSolver};
@@ -59,9 +50,7 @@ use crate::cp::seq_kclist_pp_threaded;
 use crate::decompose::tentative_gd;
 use crate::prune::prune;
 use crate::stable::derive_stable_groups;
-use crate::verify::{
-    verify_fast_with, BasicVerifier, FastConfig, FastVerifier, SharedFastSlot, Verdict,
-};
+use crate::verify::{verify_fast, BasicVerifier, FastConfig, Verdict};
 use lhcds_clique::{CliqueSet, Parallelism};
 use lhcds_flow::{FlowReuse, Ratio};
 use lhcds_graph::traversal::components_within;
@@ -88,30 +77,19 @@ pub struct IppvConfig {
     pub use_cp: bool,
     /// Apply Proposition 5 pruning.
     pub use_prune: bool,
-    /// Thread policy shared by the h-clique enumeration stage and the
-    /// post-enumeration verification stream (speculative parallel local
-    /// decompositions; see the module docs). Every stage is
-    /// byte-identical for every policy, so this setting affects wall
-    /// time only, never results.
+    /// Thread policy of the h-clique enumeration and SEQ-kClist++
+    /// stages (see the module docs). Every stage is byte-identical for
+    /// every policy, so this setting affects wall time only, never
+    /// results.
     pub parallelism: Parallelism,
     /// Flow-network reuse tier. [`FlowReuse::Scratch`] rebuilds a
-    /// network per ρ-probe (the historical cost model),
-    /// [`FlowReuse::Warm`] retains one [`InstanceSolver`] network per
-    /// candidate region / basic-verifier run and warm-starts monotone
-    /// re-solves, and the default [`FlowReuse::Ggt`] never resets a
-    /// flow: decomposition ladders run as one GGT principal-partition
-    /// divide-and-conquer, and the fast verifier's flow-deciding calls
-    /// share one whole-graph network re-tuned per candidate. Affects
-    /// wall time and the flow work counters only — every output is
-    /// bit-identical (pinned by the `flow_reuse` equivalence suites).
+    /// network per ρ-probe (the reference cost model), and the default
+    /// [`FlowReuse::Ggt`] retains one [`InstanceSolver`] network per
+    /// candidate region / basic-verifier run and never resets its flow:
+    /// increases warm-start, decreases retract. Affects wall time and
+    /// the flow work counters only — every output is bit-identical
+    /// (pinned by the `flow_reuse` equivalence suites).
     pub flow_reuse: FlowReuse,
-    /// Build the whole-graph verifier networks on the `(h−1)`-core
-    /// instead of all of `G` (the Core-Exact trick: every h-clique
-    /// lives inside the `(h−1)`-core, so no verdict changes — pinned by
-    /// the `core_prune` equivalence suite). Off by default; vertices in
-    /// no h-clique are already excluded from candidate regions
-    /// regardless, so this flag only shrinks the shared networks.
-    pub core_prune: bool,
 }
 
 impl Default for IppvConfig {
@@ -125,7 +103,6 @@ impl Default for IppvConfig {
             use_prune: true,
             parallelism: Parallelism::serial(),
             flow_reuse: FlowReuse::default(),
-            core_prune: false,
         }
     }
 }
@@ -164,9 +141,6 @@ pub struct IppvStats {
     pub initial_candidates: usize,
     /// Local densest decompositions run.
     pub local_decompositions: usize,
-    /// Local decompositions served from the speculative parallel wave
-    /// cache instead of being computed inline (0 on serial runs).
-    pub prefetched_decompositions: usize,
     /// Verification calls.
     pub verifications: usize,
     /// Verifications decided by the reduced/basic flow network.
@@ -283,15 +257,6 @@ pub fn top_k_with_instances(
 
     // ---- Verify (candidate loop) ----------------------------------
     let sp = lhcds_obs::span("verify");
-    // Core-Exact restriction for the whole-graph verifier networks:
-    // the (h−1)-core hosts every h-clique.
-    let core_universe: Option<Vec<VertexId>> = cfg.core_prune.then(|| {
-        let deg = lhcds_graph::core_decomp::degeneracy_order(g);
-        let k = (cliques.h() as u32).saturating_sub(1);
-        (0..g.n() as VertexId)
-            .filter(|&v| deg.core[v as usize] >= k)
-            .collect()
-    });
     let mut driver = Driver {
         g,
         cliques,
@@ -308,10 +273,6 @@ pub fn top_k_with_instances(
         buffer: Vec::new(),
         results: Vec::new(),
         basic: None,
-        fast_shared: None,
-        core_universe,
-        threads: cfg.parallelism.effective_threads(g.n()),
-        decomp_cache: std::collections::HashMap::new(),
         stats: &mut stats,
     };
     // highest-r group on top of the stack
@@ -331,7 +292,6 @@ pub fn top_k_with_instances(
     sp.counter("verifications", stats.verifications as u64);
     sp.counter("flow_verifications", stats.flow_verifications as u64);
     sp.counter("local_decompositions", stats.local_decompositions as u64);
-    sp.counter("prefetched", stats.prefetched_decompositions as u64);
     drop(sp);
 
     IppvResult {
@@ -374,19 +334,6 @@ struct Driver<'a> {
     /// Figure 6 network (the same arcs for every candidate — only ρ
     /// differs) is constructed once per run, not once per verification.
     basic: Option<BasicVerifier>,
-    /// Shared whole-graph network for the fast verifier's flow-deciding
-    /// calls, built lazily on first use. Engaged only at the
-    /// [`FlowReuse::Ggt`] tier without boundary-clique inflation; other
-    /// configurations keep the per-candidate reduced networks.
-    fast_shared: Option<FastVerifier>,
-    /// Verifier universe under `core_prune` (the `(h−1)`-core).
-    core_universe: Option<Vec<VertexId>>,
-    /// Worker threads for the verification stream (1 = serial driver).
-    threads: usize,
-    /// Pure local-decomposition results computed speculatively by the
-    /// wave workers, keyed by the exact component vertex list. A hit is
-    /// always exact; a component whose live set changed simply misses.
-    decomp_cache: std::collections::HashMap<Vec<VertexId>, Option<(Ratio, Vec<bool>)>>,
     stats: &'a mut IppvStats,
 }
 
@@ -513,112 +460,16 @@ impl<'a> Driver<'a> {
         self.flush_buffer(k, self.stack.is_empty() && self.stuck.is_empty());
     }
 
-    /// Pure flow-heavy head of a component's verification: builds a
-    /// private solver over the component and runs its exact local
-    /// densest decomposition. No driver state is read or written, which
-    /// is what lets the wave workers run this concurrently.
-    fn decompose_component(
-        cliques: &CliqueSet,
-        reuse: FlowReuse,
-        comp: &[VertexId],
-        parent: lhcds_obs::SpanId,
-    ) -> Option<(Ratio, Vec<bool>)> {
-        // Explicit parent id: wave workers run this on scoped threads,
-        // where the tracer's thread-local nesting would otherwise lose
-        // the verify-phase attribution.
-        let sp = lhcds_obs::span_under(parent, "local-decompose");
-        sp.counter("vertices", comp.len() as u64);
+    fn process_component(&mut self, comp: Vec<VertexId>, escalated: bool) {
+        self.stats.local_decompositions += 1;
         // One reusable network serves the component's whole Goldberg
         // ladder (every ρ-probe of the local densest decomposition).
-        let (inst, map) = local_instance(cliques, comp);
-        debug_assert_eq!(map, comp, "components are sorted and unique");
-        InstanceSolver::with_reuse(inst, reuse).densest_decomposition()
-    }
-
-    /// Speculative verification wave: the component about to be
-    /// processed missed the cache, so its decomposition must run now —
-    /// run it together with the pending stack candidates' components on
-    /// a work-stealing pool (a shared claim counter over the target
-    /// list; idle workers steal the next unclaimed component). Each
-    /// worker builds its own [`InstanceSolver`] per component — the
-    /// per-worker flow-scratch rule — and the driver thread commits the
-    /// results in its unchanged serial order, so outputs stay
-    /// byte-identical.
-    fn prefetch_decompositions(&mut self, first: &[VertexId]) {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let mut targets: Vec<Vec<VertexId>> = vec![first.to_vec()];
-        let mut seen: std::collections::HashSet<Vec<VertexId>> = targets.iter().cloned().collect();
-        for cand in self.stack.iter().rev() {
-            let verts = self.live_verts(cand);
-            if verts.is_empty() {
-                continue;
-            }
-            for comp in components_within(self.g, &verts) {
-                if !self.decomp_cache.contains_key(&comp) && seen.insert(comp.clone()) {
-                    targets.push(comp);
-                }
-            }
-        }
-        let workers = self.threads.min(targets.len());
-        let (cliques, reuse) = (self.cliques, self.cfg.flow_reuse);
-        let next = AtomicUsize::new(0);
-        let targets_ref = &targets;
-        let wave_parent = lhcds_obs::current();
-        type WaveBatch = Vec<(usize, Option<(Ratio, Vec<bool>)>)>;
-        let collected: Vec<WaveBatch> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut acc = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= targets_ref.len() {
-                                break;
-                            }
-                            acc.push((
-                                i,
-                                Self::decompose_component(
-                                    cliques,
-                                    reuse,
-                                    &targets_ref[i],
-                                    wave_parent,
-                                ),
-                            ));
-                        }
-                        acc
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("verification wave worker panicked"))
-                .collect()
-        });
-        for (i, res) in collected.into_iter().flatten() {
-            self.decomp_cache
-                .insert(std::mem::take(&mut targets[i]), res);
-        }
-    }
-
-    fn process_component(&mut self, comp: Vec<VertexId>, escalated: bool) {
-        if std::env::var_os("LHCDS_TRACE").is_some() {
-            eprintln!("process_component comp={comp:?} escalated={escalated}");
-        }
-        self.stats.local_decompositions += 1;
-        if self.threads > 1 && !self.stack.is_empty() && !self.decomp_cache.contains_key(&comp) {
-            self.prefetch_decompositions(&comp);
-        }
-        let decomp = match self.decomp_cache.remove(&comp) {
-            Some(d) => {
-                self.stats.prefetched_decompositions += 1;
-                d
-            }
-            None => Self::decompose_component(
-                self.cliques,
-                self.cfg.flow_reuse,
-                &comp,
-                lhcds_obs::current(),
-            ),
+        let decomp = {
+            let sp = lhcds_obs::span("local-decompose");
+            sp.counter("vertices", comp.len() as u64);
+            let (inst, map) = local_instance(self.cliques, &comp);
+            debug_assert_eq!(map, comp, "components are sorted and unique");
+            InstanceSolver::with_reuse(inst, self.cfg.flow_reuse).densest_decomposition()
         };
         let Some((rho_star, members)) = decomp else {
             // No h-clique inside this component.
@@ -686,19 +537,7 @@ impl<'a> Driver<'a> {
     ) {
         self.stats.verifications += 1;
         let verdict = if self.cfg.fast_verify {
-            // At the GGT tier all flow-deciding fast verifications share
-            // one whole-graph network — built lazily inside the flow
-            // tail, so shortcut-resolved candidates never build it;
-            // boundary-clique inflation keeps per-candidate networks.
-            let shared = if self.cfg.flow_reuse == FlowReuse::Ggt && !self.cfg.boundary_cliques {
-                Some(SharedFastSlot {
-                    slot: &mut self.fast_shared,
-                    universe: self.core_universe.as_deref(),
-                })
-            } else {
-                None
-            };
-            let (verdict, info) = verify_fast_with(
+            let (verdict, info) = verify_fast(
                 self.g,
                 self.cliques,
                 &m,
@@ -709,7 +548,6 @@ impl<'a> Driver<'a> {
                     boundary_cliques: self.cfg.boundary_cliques,
                     need_superset: true,
                 },
-                shared,
             );
             if info.shortcut_accept {
                 self.stats.shortcut_accepts += 1;
@@ -724,17 +562,10 @@ impl<'a> Driver<'a> {
         } else {
             self.stats.flow_verifications += 1;
             let (g, cliques, reuse) = (self.g, self.cliques, self.cfg.flow_reuse);
-            let core = &self.core_universe;
             self.basic
-                .get_or_insert_with(|| match core {
-                    Some(u) => BasicVerifier::on_universe(cliques, u, reuse),
-                    None => BasicVerifier::new(g, cliques, reuse),
-                })
+                .get_or_insert_with(|| BasicVerifier::new(g, cliques, reuse))
                 .verify(g, &m, rho)
         };
-        if std::env::var_os("LHCDS_TRACE").is_some() {
-            eprintln!("verify m={m:?} rho={rho} -> {verdict:?}");
-        }
         match verdict {
             Verdict::Lhcds => {
                 let count = (rho * Ratio::from_int(m.len() as i128)).num();
@@ -1015,10 +846,8 @@ mod tests {
                 ..IppvConfig::default()
             };
             let scratch = top_k_lhcds(&g, 3, 10, &mk(FlowReuse::Scratch));
-            for tier in [FlowReuse::Warm, FlowReuse::Ggt] {
-                let res = top_k_lhcds(&g, 3, 10, &mk(tier));
-                assert_eq!(res.subgraphs, scratch.subgraphs, "fast={fast} {tier}");
-            }
+            let ggt = top_k_lhcds(&g, 3, 10, &mk(FlowReuse::Ggt));
+            assert_eq!(ggt.subgraphs, scratch.subgraphs, "fast={fast}");
         }
     }
 

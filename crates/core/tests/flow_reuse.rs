@@ -1,11 +1,10 @@
 //! Flow-network reuse must be *invisible*: every output of the
 //! verification stack — full decompositions, compact numbers,
-//! per-threshold cut sides — is bit-identical across all three
-//! `flow_reuse` tiers: `scratch` (one network per probe, the
-//! historical cost model), `warm` (networks retained and warm-started
-//! across monotone ρ-probes), and `ggt` (one never-reset flow with
-//! retraction on decreases and principal-partition recursion, the
-//! default). These suites pin that equivalence on fixtures and random
+//! per-threshold cut sides — is bit-identical across both
+//! `flow_reuse` tiers: `scratch` (one network per probe, the reference
+//! cost model) and `ggt` (one never-reset flow with retraction on
+//! decreases and principal-partition recursion, the default). These
+//! suites pin that equivalence on fixtures and random
 //! graphs at h ∈ {2, 3, 4}, alongside the work-counter contracts that
 //! make the reuse tiers worth having.
 
@@ -14,7 +13,7 @@ use std::sync::Mutex;
 use lhcds_core::compact::{local_instance, InstanceSolver};
 use lhcds_core::density::dense_decomposition_opts;
 use lhcds_core::pipeline::{top_k_lhcds, IppvConfig};
-use lhcds_core::verify::{verify_basic, BasicVerifier, Verdict};
+use lhcds_core::verify::{BasicVerifier, Verdict};
 use lhcds_core::FlowReuse;
 use lhcds_graph::{CsrGraph, GraphBuilder, VertexId};
 use proptest::prelude::*;
@@ -52,7 +51,7 @@ fn cfg(fast_verify: bool, flow_reuse: FlowReuse) -> IppvConfig {
 }
 
 /// Full-decomposition + ladder identity for one (graph, h), under both
-/// verifier families and all three tiers, plus the network-count and
+/// verifier families and both tiers, plus the network-count and
 /// counter-accounting contracts.
 fn check_reuse_invisible(g: &CsrGraph, h: usize) {
     for fast in [true, false] {
@@ -63,41 +62,32 @@ fn check_reuse_invisible(g: &CsrGraph, h: usize) {
             sd.networks_built, sd.max_flow_invocations,
             "h={h} fast={fast}: scratch rebuilds one network per solve"
         );
-        for tier in [FlowReuse::Warm, FlowReuse::Ggt] {
-            let before = lhcds_flow::flow_stats();
-            let reused = top_k_lhcds(g, h, usize::MAX, &cfg(fast, tier));
-            let rd = lhcds_flow::flow_stats().since(&before);
-            assert_eq!(
-                reused.subgraphs, scratch.subgraphs,
-                "h={h} fast={fast} tier={tier}: decomposition diverged"
-            );
-            assert_eq!(
-                rd.max_flow_invocations,
-                rd.warm_solves + rd.retract_solves + rd.cold_solves(),
-                "h={h} fast={fast} tier={tier}: every max-flow goes through the parametric layer"
-            );
-            assert!(
-                rd.networks_built <= sd.networks_built,
-                "h={h} fast={fast} tier={tier}: reuse built more networks than scratch — {rd:?} vs {sd:?}"
-            );
-            if tier == FlowReuse::Ggt {
-                assert_eq!(
-                    rd.infeasible_reset, 0,
-                    "h={h} fast={fast}: ggt never resets a flow — {rd:?}"
-                );
-            }
-        }
+        let before = lhcds_flow::flow_stats();
+        let reused = top_k_lhcds(g, h, usize::MAX, &cfg(fast, FlowReuse::Ggt));
+        let rd = lhcds_flow::flow_stats().since(&before);
+        assert_eq!(
+            reused.subgraphs, scratch.subgraphs,
+            "h={h} fast={fast}: decomposition diverged"
+        );
+        assert_eq!(
+            rd.max_flow_invocations,
+            rd.warm_solves + rd.retract_solves + rd.cold_solves(),
+            "h={h} fast={fast}: every max-flow goes through the parametric layer"
+        );
+        assert!(
+            rd.networks_built <= sd.networks_built,
+            "h={h} fast={fast}: reuse built more networks than scratch — {rd:?} vs {sd:?}"
+        );
+        assert_eq!(
+            rd.infeasible_reset, 0,
+            "h={h} fast={fast}: ggt never resets a flow — {rd:?}"
+        );
     }
     let cliques = lhcds_clique::CliqueSet::enumerate(g, h);
     let a = dense_decomposition_opts(g, &cliques, FlowReuse::Scratch);
-    for tier in [FlowReuse::Warm, FlowReuse::Ggt] {
-        let b = dense_decomposition_opts(g, &cliques, tier);
-        assert_eq!(
-            a.levels, b.levels,
-            "h={h} tier={tier}: ladder levels diverged"
-        );
-        assert_eq!(a.phi, b.phi, "h={h} tier={tier}: compact numbers diverged");
-    }
+    let b = dense_decomposition_opts(g, &cliques, FlowReuse::Ggt);
+    assert_eq!(a.levels, b.levels, "h={h}: ladder levels diverged");
+    assert_eq!(a.phi, b.phi, "h={h}: compact numbers diverged");
 }
 
 /// One network per decomposition ladder, one per basic-verifier run:
@@ -119,28 +109,20 @@ fn ladders_and_basic_verifier_build_one_network_each() {
     let (inst, _) = local_instance(&cliques, &all);
 
     let before = lhcds_flow::flow_stats();
-    let warm = InstanceSolver::with_reuse(inst.clone(), FlowReuse::Warm).densest_decomposition();
-    let wd = lhcds_flow::flow_stats().since(&before);
-    let before = lhcds_flow::flow_stats();
     let ggt = InstanceSolver::new(inst.clone()).densest_decomposition();
     let gd = lhcds_flow::flow_stats().since(&before);
     let before = lhcds_flow::flow_stats();
     let scratch =
         InstanceSolver::with_reuse(inst.clone(), FlowReuse::Scratch).densest_decomposition();
     let sd = lhcds_flow::flow_stats().since(&before);
-    assert_eq!(warm, scratch);
     assert_eq!(ggt, scratch);
-    assert_eq!(
-        wd.networks_built, 1,
-        "one network for the whole warm ladder"
-    );
-    assert!(wd.max_flow_invocations > 1);
-    assert!(wd.warm_solves >= 1, "{wd:?}");
     assert_eq!(gd.networks_built, 1, "one network for the whole ggt walk");
+    assert!(gd.max_flow_invocations > 1);
+    assert!(gd.warm_solves >= 1, "{gd:?}");
     assert_eq!(gd.infeasible_reset, 0, "ggt never resets a flow: {gd:?}");
     assert_eq!(sd.networks_built, sd.max_flow_invocations);
     assert_eq!(
-        wd.max_flow_invocations, sd.max_flow_invocations,
+        gd.max_flow_invocations, sd.max_flow_invocations,
         "reuse changes construction work, never the probe schedule"
     );
 
@@ -160,26 +142,18 @@ fn ladders_and_basic_verifier_build_one_network_each() {
         (&[5, 6], lhcds_core::Ratio::zero()),
         (&[0, 1, 2], lhcds_core::Ratio::from_int(1)),
     ];
-    for tier in [FlowReuse::Warm, FlowReuse::Ggt] {
-        let before = lhcds_flow::flow_stats();
-        let mut shared = BasicVerifier::new(&g, &cliques, tier);
-        let verdicts: Vec<Verdict> = candidates
-            .iter()
-            .map(|&(s, rho)| shared.verify(&g, s, rho))
-            .collect();
-        let delta = lhcds_flow::flow_stats().since(&before);
-        assert_eq!(
-            delta.networks_built, 1,
-            "tier={tier}: one network for all candidates"
-        );
-        assert_eq!(delta.max_flow_invocations, candidates.len() as u64);
-        for (&(s, rho), verdict) in candidates.iter().zip(&verdicts) {
-            assert_eq!(
-                *verdict,
-                verify_basic(&g, &cliques, s, rho),
-                "tier={tier} {s:?}@{rho}"
-            );
-        }
+    let before = lhcds_flow::flow_stats();
+    let mut shared = BasicVerifier::new(&g, &cliques, FlowReuse::Ggt);
+    let verdicts: Vec<Verdict> = candidates
+        .iter()
+        .map(|&(s, rho)| shared.verify(&g, s, rho))
+        .collect();
+    let delta = lhcds_flow::flow_stats().since(&before);
+    assert_eq!(delta.networks_built, 1, "one network for all candidates");
+    assert_eq!(delta.max_flow_invocations, candidates.len() as u64);
+    for (&(s, rho), verdict) in candidates.iter().zip(&verdicts) {
+        let fresh = BasicVerifier::new(&g, &cliques, FlowReuse::Scratch).verify(&g, s, rho);
+        assert_eq!(*verdict, fresh, "{s:?}@{rho}");
     }
 }
 
@@ -209,8 +183,8 @@ fn two_k5_fixtures_are_reuse_invariant() {
 
 /// Per-threshold probes on a shared solver equal fresh solvers at every
 /// rho of a mixed (non-monotone) schedule — the raw cut-side identity
-/// underlying all higher-level equivalences. Both reuse tiers share one
-/// solver: `warm` resets on the decreases, `ggt` retracts through them.
+/// underlying all higher-level equivalences. The shared solver retracts
+/// its flow through every decrease.
 #[test]
 fn mixed_threshold_schedule_matches_fresh_solvers() {
     let _quiet = quiet_counters();
@@ -231,26 +205,24 @@ fn mixed_threshold_schedule_matches_fresh_solvers() {
         lhcds_core::Ratio::new(1, 3),
         lhcds_core::Ratio::from_int(2),
         lhcds_core::Ratio::new(13, 6), // up
-        lhcds_core::Ratio::new(1, 2),  // down (reset under warm, retract under ggt)
+        lhcds_core::Ratio::new(1, 2),  // down: retract
         lhcds_core::Ratio::new(7, 4),  // up again
         lhcds_core::Ratio::zero(),
     ];
-    for tier in [FlowReuse::Warm, FlowReuse::Ggt] {
-        let mut shared = InstanceSolver::with_reuse(inst.clone(), tier);
-        for rho in schedule {
-            let mut fresh = InstanceSolver::new(inst.clone());
-            assert_eq!(
-                shared.max_excess_set(rho),
-                fresh.max_excess_set(rho),
-                "tier={tier}: max_excess_set at {rho}"
-            );
-            let mut fresh = InstanceSolver::new(inst.clone());
-            assert_eq!(
-                shared.derive_compact(rho),
-                fresh.derive_compact(rho),
-                "tier={tier}: derive_compact at {rho}"
-            );
-        }
+    let mut shared = InstanceSolver::new(inst.clone());
+    for rho in schedule {
+        let mut fresh = InstanceSolver::new(inst.clone());
+        assert_eq!(
+            shared.max_excess_set(rho),
+            fresh.max_excess_set(rho),
+            "max_excess_set at {rho}"
+        );
+        let mut fresh = InstanceSolver::new(inst.clone());
+        assert_eq!(
+            shared.derive_compact(rho),
+            fresh.derive_compact(rho),
+            "derive_compact at {rho}"
+        );
     }
 }
 

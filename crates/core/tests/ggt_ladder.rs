@@ -42,7 +42,7 @@ fn complete(n: u32) -> CsrGraph {
 /// Walks the marginal-density ladder probe-by-probe with a
 /// rebuild-per-probe (scratch) solver — the brute-force reference.
 fn walk_ladder(inst: &LocalInstance) -> Vec<(Ratio, Vec<bool>)> {
-    let mut solver = InstanceSolver::with_reuse(inst, FlowReuse::Scratch);
+    let mut solver = InstanceSolver::with_reuse(inst.clone(), FlowReuse::Scratch);
     let mut forced = vec![false; inst.n];
     let mut out = Vec::new();
     while let Some((rho, level)) = solver.next_density_level(&forced) {

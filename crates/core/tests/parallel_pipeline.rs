@@ -1,14 +1,13 @@
 //! Serial-equivalence harness for the post-enumeration parallel layers
 //! — the PR 2 clique-level harness (`lhcds-clique/tests/parallel.rs`)
-//! extended to everything `--threads` now reaches: the speculative
-//! candidate-verification wave, the threaded CP round scaling, and the
-//! parallel GGT principal-partition recursion.
+//! extended to everything `--threads` reaches in the pipeline: the
+//! parallel enumeration and the threaded CP round scaling.
 //!
 //! The contract is byte-identity, not approximate agreement: at 1, 2,
-//! 4, and 8 threads, across all three flow-reuse tiers, the full
-//! pipeline output (`subgraphs`: members, exact densities, clique
-//! counts) must equal the serial run's. Scheduling may change wall time
-//! and the speculative work counters — never a result.
+//! 4, and 8 threads, across both flow-reuse tiers, the full pipeline
+//! output (`subgraphs`: members, exact densities, clique counts) must
+//! equal the serial run's. Scheduling may change wall time — never a
+//! result.
 
 use lhcds_clique::Parallelism;
 use lhcds_core::pipeline::{top_k_lhcds, IppvConfig};
@@ -17,7 +16,7 @@ use lhcds_graph::{CsrGraph, GraphBuilder, VertexId};
 use proptest::prelude::*;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-const TIERS: [FlowReuse; 3] = [FlowReuse::Scratch, FlowReuse::Warm, FlowReuse::Ggt];
+const TIERS: [FlowReuse; 2] = [FlowReuse::Scratch, FlowReuse::Ggt];
 
 fn cfg(flow_reuse: FlowReuse, parallelism: Parallelism) -> IppvConfig {
     IppvConfig {
@@ -65,8 +64,7 @@ fn figure2_all_tiers_and_thread_counts() {
 }
 
 /// Multi-candidate landscapes: several components of different density
-/// keep the verification stack non-empty, so the speculative wave
-/// actually engages (pinned below) and its commit order matters.
+/// keep the verification stack non-empty.
 #[test]
 fn multi_component_graphs() {
     // two disjoint K5s and a K4, plus a bridged pendant path
@@ -79,35 +77,10 @@ fn multi_component_graphs() {
     for h in [2usize, 3, 4] {
         assert_equivalent(&g, h);
     }
-
-    // the wave must have fired at least once on this shape: >1
-    // component is pending whenever the first one is being verified
-    let res = top_k_lhcds(
-        &g,
-        3,
-        usize::MAX,
-        &cfg(FlowReuse::Ggt, Parallelism::threads(4)),
-    );
-    assert!(
-        res.stats.prefetched_decompositions >= 1,
-        "speculative verification never engaged: {:?}",
-        res.stats.prefetched_decompositions
-    );
-    let serial = top_k_lhcds(
-        &g,
-        3,
-        usize::MAX,
-        &cfg(FlowReuse::Ggt, Parallelism::serial()),
-    );
-    assert_eq!(
-        serial.stats.prefetched_decompositions, 0,
-        "serial runs must never speculate"
-    );
 }
 
 /// Overlapping dense regions force candidate refinement (splits,
-/// escalation) — the commit path where a stale speculative entry is a
-/// miss, never a wrong answer.
+/// escalation).
 #[test]
 fn overlapping_cliques_refine_identically() {
     let mut b = GraphBuilder::new();

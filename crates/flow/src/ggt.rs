@@ -36,8 +36,8 @@
 //!   recurse(lo, λ*) after — λ drops back: flow retraction
 //! ```
 //!
-//! Every solve runs on the *same* [`ParametricNetwork`] under
-//! [`ReusePolicy::Retract`], so the flow is never thrown away: λ
+//! Every solve runs on the *same* [`ParametricNetwork`], whose
+//! [`ParametricNetwork::solve`] never throws the flow away: λ
 //! increases rescale and keep it, λ decreases cancel only the
 //! infeasible excess along its own flow paths. Pinning substitutes for
 //! GGT's graph contraction: an already-decided side keeps an infinite
@@ -77,20 +77,17 @@
 use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::parametric::{ParametricNetwork, ReusePolicy};
+use crate::parametric::ParametricNetwork;
 use crate::rational::Ratio;
 use crate::stats;
 
 /// How the verification stack treats flow networks across density
-/// probes and candidates — the `IppvConfig::flow_reuse` A/B tiers.
+/// probes — the `IppvConfig::flow_reuse` A/B tiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FlowReuse {
-    /// Rebuild a fresh network for every probe (PR 4 behavior; the
-    /// baseline the work counters are measured against).
+    /// Rebuild a fresh network for every probe: the reference cost
+    /// model the work counters and equivalence suites compare against.
     Scratch,
-    /// Build per-instance parametric networks and warm-start monotone
-    /// re-solves, resetting on capacity decreases (PR 5 behavior).
-    Warm,
     /// Full GGT: never reset a flow — retract on decreases — and drive
     /// the decomposition ladder by principal-partition recursion on one
     /// shared network (the default).
@@ -104,10 +101,9 @@ impl FromStr for FlowReuse {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "scratch" => Ok(FlowReuse::Scratch),
-            "warm" => Ok(FlowReuse::Warm),
             "ggt" => Ok(FlowReuse::Ggt),
             other => Err(format!(
-                "unknown flow-reuse tier {other:?} (expected scratch, warm or ggt)"
+                "unknown flow-reuse tier {other:?} (expected scratch or ggt)"
             )),
         }
     }
@@ -117,7 +113,6 @@ impl std::fmt::Display for FlowReuse {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             FlowReuse::Scratch => "scratch",
-            FlowReuse::Warm => "warm",
             FlowReuse::Ggt => "ggt",
         })
     }
@@ -257,7 +252,7 @@ impl GgtSolver {
                 (lam * Ratio::from_int(ln.slope)).scale_to_int(scale)
             };
         }
-        self.pn.solve_with(scale, &caps, ReusePolicy::Retract);
+        self.pn.solve(scale, &caps);
         self.solves += 1;
         if self.solves > 1 {
             // what a rebuild-per-probe ladder would have constructed
@@ -445,15 +440,12 @@ mod tests {
 
     #[test]
     fn flow_reuse_parses_and_displays() {
-        for (s, v) in [
-            ("scratch", FlowReuse::Scratch),
-            ("warm", FlowReuse::Warm),
-            ("ggt", FlowReuse::Ggt),
-        ] {
+        for (s, v) in [("scratch", FlowReuse::Scratch), ("ggt", FlowReuse::Ggt)] {
             assert_eq!(s.parse::<FlowReuse>().unwrap(), v);
             assert_eq!(v.to_string(), s);
         }
         assert!("hot".parse::<FlowReuse>().is_err());
+        assert!("warm".parse::<FlowReuse>().is_err());
         assert_eq!(FlowReuse::default(), FlowReuse::Ggt);
     }
 

@@ -21,15 +21,14 @@
 //! Because the verification stack re-solves the *same* network at a
 //! ladder of thresholds (only the ρ-dependent capacities change),
 //! [`parametric::ParametricNetwork`] retains the built network across
-//! solves: monotone capacity changes warm-start from the previous
-//! residual flow, and under [`parametric::ReusePolicy::Retract`] even
-//! capacity *decreases* keep it, cancelling only the infeasible excess
-//! along the flow's own paths (`Dinic::retract_arc`) — the
-//! Gallo–Grigoriadis–Tarjan never-reset discipline. On top of that,
-//! [`ggt::GgtSolver`] recovers the entire principal partition (the
-//! LhCDS dense-decomposition ladder) by divide-and-conquer on one
-//! shared network, and [`ggt::FlowReuse`] names the three reuse tiers
-//! (`scratch | warm | ggt`) the verification stack exposes for A/B.
+//! solves: capacity increases warm-start from the previous residual
+//! flow, and capacity *decreases* keep it too, cancelling only the
+//! infeasible excess along the flow's own paths (`Dinic::retract_arc`)
+//! — the Gallo–Grigoriadis–Tarjan never-reset discipline. On top of
+//! that, [`ggt::GgtSolver`] recovers the entire principal partition
+//! (the LhCDS dense-decomposition ladder) by divide-and-conquer on one
+//! shared network, and [`ggt::FlowReuse`] names the two reuse tiers
+//! (`scratch | ggt`) the verification stack exposes for A/B.
 //! [`stats::flow_stats`] exposes the process-wide work counters
 //! (networks/arcs built, flow invocations, warm/retract/cold solves,
 //! GGT recursion telemetry) that pin the reuse contracts in tests and
@@ -69,6 +68,6 @@ pub mod stats;
 
 pub use dinic::Dinic;
 pub use ggt::{FlowReuse, GgtSolver};
-pub use parametric::{ParametricNetwork, ReusePolicy, SolveMode};
+pub use parametric::{ParametricNetwork, SolveMode};
 pub use rational::Ratio;
 pub use stats::{flow_stats, max_flow_invocations, FlowStats};

@@ -8,7 +8,6 @@
 
 use std::sync::Mutex;
 
-use lhcds_flow::parametric::ReusePolicy;
 use lhcds_flow::{flow_stats, Dinic, GgtSolver, ParametricNetwork, SolveMode};
 
 static COUNTERS: Mutex<()> = Mutex::new(());
@@ -47,40 +46,16 @@ fn parametric_counts_builds_and_solve_modes() {
     let scale = pn.scale_for(1);
     assert_eq!(pn.solve(scale, &[6, 6, 1, 1]), SolveMode::Cold);
     assert_eq!(pn.solve(scale, &[6, 6, 2, 2]), SolveMode::Warm);
-    assert_eq!(pn.solve(scale, &[6, 6, 0, 0]), SolveMode::Cold); // decrease
+    assert_eq!(pn.solve(scale, &[6, 6, 0, 0]), SolveMode::Retract); // decrease
     let d = flow_stats().since(&before);
     assert_eq!(d.networks_built, 1, "one Dinic for three solves");
     assert_eq!(d.arcs_built, 6);
     assert_eq!(d.max_flow_invocations, 3);
     assert_eq!(d.warm_solves, 1);
-    assert_eq!(d.cold_solves(), 2);
-    // the satellite split: the first discard is the unavoidable build,
-    // the decrease under Reset policy is a genuine reset
-    assert_eq!(d.first_build, 1);
-    assert_eq!(d.infeasible_reset, 1);
-    assert_eq!(d.retract_solves, 0);
-}
-
-#[test]
-fn retract_policy_turns_resets_into_retractions() {
-    let _quiet = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
-    let before = flow_stats();
-    let mut pn = ParametricNetwork::new(5, 0, 4, 2);
-    pn.add_static(1, 3, 2);
-    pn.add_static(3, 2, 4);
-    for (from, to) in [(0u32, 1u32), (0, 2), (1, 4), (2, 4)] {
-        pn.add_parametric(from, to);
-    }
-    let scale = pn.scale_for(1);
-    let p = ReusePolicy::Retract;
-    assert_eq!(pn.solve_with(scale, &[6, 6, 1, 1], p), SolveMode::Cold);
-    assert_eq!(pn.solve_with(scale, &[6, 6, 2, 2], p), SolveMode::Warm);
-    assert_eq!(pn.solve_with(scale, &[6, 6, 0, 0], p), SolveMode::Retract);
-    let d = flow_stats().since(&before);
-    assert_eq!(d.networks_built, 1);
-    assert_eq!(d.max_flow_invocations, 3);
-    assert_eq!(d.warm_solves, 1);
     assert_eq!(d.retract_solves, 1);
+    // the only discard is the unavoidable first build: a decrease
+    // retracts instead of resetting
+    assert_eq!(d.cold_solves(), 1);
     assert_eq!(d.first_build, 1);
     assert_eq!(d.infeasible_reset, 0, "retract replaces every reset");
     assert!((d.warm_hit_rate() - 2.0 / 3.0).abs() < 1e-12);
@@ -151,7 +126,7 @@ fn counters_hold_under_four_concurrent_ladders() {
                 let scale = pn.scale_for(1);
                 pn.solve(scale, &[4, 4, 1, 1]);
                 pn.solve(scale, &[4, 4, 2, 2]);
-                pn.solve_with(scale, &[4, 4, 1, 1], ReusePolicy::Retract);
+                pn.solve(scale, &[4, 4, 1, 1]);
             });
         }
     });

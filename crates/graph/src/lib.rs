@@ -25,7 +25,6 @@
 //!   arbitrary (non-contiguous, 64-bit) external ids remapped to
 //!   compact ranks; the substrate of `lhcds-data`'s real-dataset
 //!   ingest path.
-//! * [`dot`] — Graphviz export for the case-study visualizations.
 //!
 //! # Example
 //!
@@ -49,7 +48,6 @@
 pub mod builder;
 pub mod core_decomp;
 pub mod csr;
-pub mod dot;
 pub mod error;
 pub mod io;
 pub mod properties;

@@ -1,20 +1,22 @@
 //! Workspace-level flow-reuse equivalence: the served artifacts
 //! (`DecompositionIndex` contents, full decompositions, compact
-//! numbers) are byte-identical across all three `flow_reuse` tiers —
-//! `scratch` (one network per probe), `warm` (warm-started parametric
-//! re-solves), and `ggt` (one never-reset flow driving the whole
-//! ladder by principal-partition recursion, the default) — on the
-//! paper's Figure 2 worked example and on generated community graphs.
+//! numbers) are byte-identical across both `flow_reuse` tiers —
+//! `scratch` (one network per probe) and `ggt` (one never-reset flow
+//! per network, driving the whole ladder by principal-partition
+//! recursion; the default) — on the paper's Figure 2 worked example, on
+//! generated community graphs, and on a CM stand-in whose verify tail
+//! decides most candidates by flow.
 
 use lhcds::core::density::dense_decomposition_opts;
 use lhcds::core::index::{DecompositionIndex, IndexConfig};
 use lhcds::core::pipeline::{top_k_lhcds, IppvConfig};
 use lhcds::core::FlowReuse;
+use lhcds::data::datasets::by_abbr;
 use lhcds::data::figure2_graph;
 use lhcds::data::gen::planted_communities;
 use lhcds::graph::CsrGraph;
 
-const TIERS: [FlowReuse; 3] = [FlowReuse::Scratch, FlowReuse::Warm, FlowReuse::Ggt];
+const TIERS: [FlowReuse; 2] = [FlowReuse::Scratch, FlowReuse::Ggt];
 
 fn cfg(flow_reuse: FlowReuse) -> IppvConfig {
     IppvConfig {
@@ -31,13 +33,8 @@ fn check_graph(g: &CsrGraph, h: usize) {
             ..cfg(reuse)
         };
         let scratch = top_k_lhcds(g, h, usize::MAX, &mk(FlowReuse::Scratch));
-        for tier in [FlowReuse::Warm, FlowReuse::Ggt] {
-            let reused = top_k_lhcds(g, h, usize::MAX, &mk(tier));
-            assert_eq!(
-                reused.subgraphs, scratch.subgraphs,
-                "h={h} fast={fast} tier={tier}"
-            );
-        }
+        let ggt = top_k_lhcds(g, h, usize::MAX, &mk(FlowReuse::Ggt));
+        assert_eq!(ggt.subgraphs, scratch.subgraphs, "h={h} fast={fast}");
     }
     // the frozen index: byte-identity of every serialized part
     let mk_index = |reuse: FlowReuse| {
@@ -50,22 +47,17 @@ fn check_graph(g: &CsrGraph, h: usize) {
             },
         )
     };
-    let baseline = mk_index(FlowReuse::Scratch);
-    for tier in [FlowReuse::Warm, FlowReuse::Ggt] {
-        assert_eq!(
-            mk_index(tier).as_parts(),
-            baseline.as_parts(),
-            "h={h} tier={tier}: index parts diverged"
-        );
-    }
+    assert_eq!(
+        mk_index(FlowReuse::Ggt).as_parts(),
+        mk_index(FlowReuse::Scratch).as_parts(),
+        "h={h}: index parts diverged"
+    );
     // the dense-decomposition ladder (exact compact numbers)
     let cliques = lhcds::clique::CliqueSet::enumerate(g, h);
     let a = dense_decomposition_opts(g, &cliques, FlowReuse::Scratch);
-    for tier in [FlowReuse::Warm, FlowReuse::Ggt] {
-        let b = dense_decomposition_opts(g, &cliques, tier);
-        assert_eq!(a.levels, b.levels, "h={h} tier={tier}");
-        assert_eq!(a.phi, b.phi, "h={h} tier={tier}");
-    }
+    let b = dense_decomposition_opts(g, &cliques, FlowReuse::Ggt);
+    assert_eq!(a.levels, b.levels, "h={h}");
+    assert_eq!(a.phi, b.phi, "h={h}");
 }
 
 #[test]
@@ -84,6 +76,20 @@ fn figure2_is_reuse_invariant_across_h() {
 fn planted_communities_are_reuse_invariant() {
     let g = planted_communities(250, 3, &[(12, 0.9), (9, 0.95)], 0xACE);
     check_graph(&g, 3);
+    // The verify tail: past the CM stand-in's planted communities most
+    // candidates are decided by a flow over their closure `T` in the
+    // low-density background — the regime where real runs spend their
+    // time.
+    let cm = by_abbr("CM")
+        .expect("CM stand-in")
+        .generate_scaled(0.05)
+        .graph;
+    let stats = top_k_lhcds(&cm, 3, usize::MAX, &IppvConfig::default()).stats;
+    assert!(
+        stats.flow_verifications * 2 > stats.verifications,
+        "the tail must be flow-decided: {stats:?}"
+    );
+    check_graph(&cm, 3);
 }
 
 #[test]
@@ -93,4 +99,5 @@ fn all_tiers_parse_and_roundtrip_display() {
         assert_eq!(parsed, tier);
     }
     assert!("eager".parse::<FlowReuse>().is_err());
+    assert!("warm".parse::<FlowReuse>().is_err());
 }
