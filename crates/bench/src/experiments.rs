@@ -1548,24 +1548,12 @@ pub fn ablation(opts: &ExpOptions) -> String {
     ]);
     for abbr in ["HA", "CM", "EP"] {
         let d = dataset(abbr, opts.scale);
-        // `exact = true` configurations must reproduce the reference
-        // output bit-for-bit. The boundary-clique variant (paper Figure
-        // 7 capacities over our larger T) inflates straddling cliques
-        // and may *under-report* — it is measured but not asserted (see
-        // DESIGN.md).
-        let configs: [(&str, bool, IppvConfig); 4] = [
-            ("fast", true, IppvConfig::default()),
-            (
-                "fast+boundary (approx)",
-                false,
-                IppvConfig {
-                    boundary_cliques: true,
-                    ..IppvConfig::default()
-                },
-            ),
+        // Every configuration must reproduce the reference output
+        // bit-for-bit.
+        let configs: [(&str, IppvConfig); 3] = [
+            ("fast", IppvConfig::default()),
             (
                 "basic",
-                true,
                 IppvConfig {
                     fast_verify: false,
                     ..IppvConfig::default()
@@ -1573,7 +1561,6 @@ pub fn ablation(opts: &ExpOptions) -> String {
             ),
             (
                 "no-cp (flow only)",
-                true,
                 IppvConfig {
                     use_cp: false,
                     use_prune: false,
@@ -1583,14 +1570,12 @@ pub fn ablation(opts: &ExpOptions) -> String {
             ),
         ];
         let reference = top_k_lhcds(&d.graph, 3, 10, &IppvConfig::default());
-        for (name, exact, cfg) in configs {
+        for (name, cfg) in configs {
             let (res, ms) = time_ms(|| top_k_lhcds(&d.graph, 3, 10, &cfg));
-            if exact {
-                assert_eq!(
-                    res.subgraphs, reference.subgraphs,
-                    "{abbr}/{name}: results must not depend on configuration"
-                );
-            }
+            assert_eq!(
+                res.subgraphs, reference.subgraphs,
+                "{abbr}/{name}: results must not depend on configuration"
+            );
             t.row([
                 abbr.to_string(),
                 name.to_string(),
@@ -1921,6 +1906,6 @@ mod tests {
     #[test]
     fn ablation_runs_and_agrees() {
         let out = ablation(&TINY);
-        assert!(out.contains("fast+boundary"));
+        assert!(out.contains("no-cp (flow only)"));
     }
 }

@@ -57,22 +57,6 @@ impl Bounds {
         self.lower[u] = v;
         self.upper[u] = v;
     }
-
-    /// Whether the interval of `u` certainly lies strictly below `rho`.
-    pub fn certainly_below(&self, u: usize, rho: Ratio) -> bool {
-        self.upper[u] < rho.to_f64() - f64::EPSILON
-    }
-
-    /// Whether the interval of `u` certainly lies strictly above `rho`.
-    pub fn certainly_above(&self, u: usize, rho: Ratio) -> bool {
-        self.lower[u] > rho.to_f64() + f64::EPSILON
-    }
-
-    /// Whether `φh(u)` could be at least `rho` (conservative: true unless
-    /// the upper bound certainly rules it out).
-    pub fn possibly_at_least(&self, u: usize, rho: Ratio) -> bool {
-        !self.certainly_below(u, rho)
-    }
 }
 
 /// Default slack around approximate (f64 convex-program) bounds. The CP
@@ -170,17 +154,5 @@ mod tests {
         b.pin_exact(2, Ratio::from_int(2));
         assert_eq!(b.lower[2], 2.0);
         assert_eq!(b.upper[2], 2.0);
-    }
-
-    #[test]
-    fn comparison_helpers() {
-        let g = k5();
-        let cs = CliqueSet::enumerate(&g, 3);
-        let mut b = initialize_bounds(&cs, 1e-6);
-        b.pin_exact(0, Ratio::from_int(2));
-        assert!(b.certainly_below(0, Ratio::from_int(3)));
-        assert!(b.certainly_above(0, Ratio::from_int(1)));
-        assert!(b.possibly_at_least(0, Ratio::from_int(2)));
-        assert!(!b.possibly_at_least(0, Ratio::new(5, 2)));
     }
 }

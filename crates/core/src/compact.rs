@@ -1,15 +1,13 @@
-//! `DeriveCompact` flow networks (Figures 6 and 7), `IsDensest`, and the
-//! exact local densest decomposition.
+//! `DeriveCompact` flow networks (Figure 6), the excess-set test behind
+//! `IsDensest`, and the exact local densest decomposition.
 //!
 //! All routines operate on a [`LocalInstance`]: a relabelled vertex
-//! universe `0..n` with the h-cliques fully inside it, plus (for the
-//! fast verifier's reduced network, Figure 7) the *boundary cliques* `P`
-//! that straddle the universe — each represented by its inside members
-//! and carrying arc capacity `1 + (h − cnt)/cnt = h/cnt`.
+//! universe `0..n` with the h-cliques fully inside it.
 //!
 //! ## Exactness
-//! For threshold `ρ = a/b` all capacities are scaled by
-//! `D = lcm(b, lcm(1..=h))`, making every capacity an integer `i128`:
+//! Every gadget and degree capacity is an integer; only the sink arcs
+//! `ρ·h` are rational. For threshold `ρ = a/b` all capacities are scaled
+//! by a multiple `D` of `b`, making every capacity an integer `i128`:
 //! the min-cut, and therefore every verification decision, is exact.
 //!
 //! ## The gadget (one clique node per h-clique `ψ`)
@@ -41,21 +39,10 @@
 //! the `flow_reuse` equivalence suites.
 
 use lhcds_clique::CliqueSet;
-use lhcds_flow::rational::lcm_up_to;
 use lhcds_flow::{FlowReuse, GgtSolver, ParametricNetwork, Ratio};
 use lhcds_graph::VertexId;
 
-/// A clique of the parent graph that straddles the local universe:
-/// only `inside` (local ids, `1 ≤ |inside| < h`) of its `h` members are
-/// local. Used by the fast verifier's reduced network (Figure 7).
-#[derive(Debug, Clone)]
-pub struct BoundaryClique {
-    /// Local ids of the members inside the universe (`cnt = len()`).
-    pub inside: Vec<u32>,
-}
-
-/// A relabelled sub-universe with its interior (and optionally boundary)
-/// h-cliques.
+/// A relabelled sub-universe with its interior h-cliques.
 #[derive(Debug, Clone)]
 pub struct LocalInstance {
     /// Number of local vertices.
@@ -64,8 +51,6 @@ pub struct LocalInstance {
     pub h: usize,
     /// Interior cliques, `h` local ids each.
     pub full: Vec<u32>,
-    /// Boundary cliques (empty unless the caller opts into Figure 7).
-    pub boundary: Vec<BoundaryClique>,
 }
 
 impl LocalInstance {
@@ -87,8 +72,7 @@ impl LocalInstance {
 
 /// Extracts the [`LocalInstance`] induced by `set` (parent vertex ids)
 /// from a parent clique store. Returns the instance and the local→parent
-/// mapping (ascending). Boundary cliques are *not* collected here — the
-/// fast verifier adds them separately when configured to.
+/// mapping (ascending). Cliques straddling `set` are dropped.
 pub fn local_instance(cliques: &CliqueSet, set: &[VertexId]) -> (LocalInstance, Vec<VertexId>) {
     let mut to_parent: Vec<VertexId> = set.to_vec();
     to_parent.sort_unstable();
@@ -149,7 +133,6 @@ pub fn local_instance(cliques: &CliqueSet, set: &[VertexId]) -> (LocalInstance, 
             n: to_parent.len(),
             h,
             full,
-            boundary: Vec::new(),
         },
         to_parent,
     )
@@ -158,11 +141,9 @@ pub fn local_instance(cliques: &CliqueSet, set: &[VertexId]) -> (LocalInstance, 
 /// A [`LocalInstance`] bundled with its lazily built, reusable flow
 /// network.
 ///
-/// Node layout (identical to the historical per-call builder): `0 = s`,
-/// `1..=n` local vertices, then interior clique nodes, then boundary
-/// clique nodes, `t` last. Gadget arcs (`v → ψ`, `ψ → v`) are *static*
-/// — expressed once at base scale `lcm(1..=h)`; the ρ-dependent
-/// terminal arcs (`s → v`, `v → t`) and the boundary in-arcs are
+/// Node layout: `0 = s`, `1..=n` local vertices, then clique nodes, `t`
+/// last. Gadget arcs (`v → ψ`, `ψ → v`) are *static* integer
+/// capacities; the ρ-dependent terminal arcs (`s → v`, `v → t`) are
 /// *parametric* and re-tuned per probe. Every probe of every method
 /// reuses the same [`ParametricNetwork`], whose flow is never reset.
 ///
@@ -177,17 +158,12 @@ pub fn local_instance(cliques: &CliqueSet, set: &[VertexId]) -> (LocalInstance, 
 pub struct InstanceSolver {
     inst: LocalInstance,
     reuse: FlowReuse,
-    boundary_enabled: bool,
     /// Worker threads for [`InstanceSolver::ggt_ladder`]'s GGT
     /// recursion (1 = serial; the result never depends on it).
     threads: usize,
     net: Option<ParametricNetwork>,
-    /// Per-vertex base-scale degree from interior cliques.
-    deg_interior: Vec<i128>,
-    /// Per-vertex base-scale degree from boundary cliques.
-    deg_boundary: Vec<i128>,
-    /// Base-scale capacity of each boundary in-arc, in network order.
-    boundary_in_base: Vec<i128>,
+    /// Per-vertex h-clique degree.
+    deg: Vec<i128>,
 }
 
 impl InstanceSolver {
@@ -198,35 +174,16 @@ impl InstanceSolver {
 
     /// Wraps `inst` at an explicit [`FlowReuse`] tier.
     pub fn with_reuse(inst: LocalInstance, reuse: FlowReuse) -> InstanceSolver {
-        let n = inst.n;
-        let h = inst.h as i128;
-        let base = lcm_up_to(inst.h as u32);
-        let mut deg_interior = vec![0i128; n];
-        let mut deg_boundary = vec![0i128; n];
-        let mut boundary_in_base = Vec::new();
-        for members in inst.full.chunks_exact(inst.h) {
-            for &v in members {
-                deg_interior[v as usize] += base;
-            }
-        }
-        for b in &inst.boundary {
-            let cnt = b.inside.len() as i128;
-            debug_assert!(cnt >= 1 && cnt < h, "boundary clique must straddle");
-            let incap = h * base / cnt; // exact: cnt | lcm(1..=h)
-            for &v in &b.inside {
-                deg_boundary[v as usize] += incap;
-                boundary_in_base.push(incap);
-            }
+        let mut deg = vec![0i128; inst.n];
+        for &v in &inst.full {
+            deg[v as usize] += 1;
         }
         InstanceSolver {
             inst,
             reuse,
-            boundary_enabled: true,
             threads: 1,
             net: None,
-            deg_interior,
-            deg_boundary,
-            boundary_in_base,
+            deg,
         }
     }
 
@@ -242,31 +199,14 @@ impl InstanceSolver {
         &self.inst
     }
 
-    /// Enables/disables the boundary cliques *in the shared network*
-    /// (their in-arcs drop to capacity 0 and their degree contribution
-    /// vanishes): the Figure 6 vs Figure 7 ablation on one network
-    /// instead of two — the hook behind the ISSUE's "share the instance
-    /// network across boundary-clique variants" (exercised by the
-    /// ablation-oriented tests; production pipelines keep the default).
-    /// Affects [`InstanceSolver::derive_compact`]-style probes; the
-    /// decomposition methods require the default (enabled) state so
-    /// clique counting and the network agree.
-    pub fn set_boundary_enabled(&mut self, on: bool) {
-        self.boundary_enabled = on;
-    }
-
     /// Builds the arc structure once; capacities are installed per
     /// solve.
     fn build_network(inst: &LocalInstance) -> ParametricNetwork {
         let n = inst.n;
         let h = inst.h as i128;
-        let fc = inst.clique_count();
-        let bc = inst.boundary.len();
-        let t = (1 + n + fc + bc) as u32;
-        let base = lcm_up_to(inst.h as u32);
-        let mut pn = ParametricNetwork::new(t as usize + 1, 0, t, base);
-        // parametric arc layout: [0, n) = s→v; [n, 2n) = v→t; then the
-        // boundary in-arcs in boundary/member order
+        let t = (1 + n + inst.clique_count()) as u32;
+        let mut pn = ParametricNetwork::new(t as usize + 1, 0, t);
+        // parametric arc layout: [0, n) = s→v; [n, 2n) = v→t
         for v in 0..n as u32 {
             pn.add_parametric(0, v + 1);
         }
@@ -276,15 +216,8 @@ impl InstanceSolver {
         for (i, members) in inst.full.chunks_exact(inst.h).enumerate() {
             let cnode = (1 + n + i) as u32;
             for &v in members {
-                pn.add_static(v + 1, cnode, base);
-                pn.add_static(cnode, v + 1, (h - 1) * base);
-            }
-        }
-        for (j, b) in inst.boundary.iter().enumerate() {
-            let cnode = (1 + n + fc + j) as u32;
-            for &v in &b.inside {
-                pn.add_parametric(v + 1, cnode);
-                pn.add_static(cnode, v + 1, (h - 1) * base);
+                pn.add_static(v + 1, cnode, 1);
+                pn.add_static(cnode, v + 1, h - 1);
             }
         }
         pn
@@ -300,17 +233,11 @@ impl InstanceSolver {
         if self.net.is_none() {
             self.net = Some(Self::build_network(&self.inst));
         }
-        let (n, h, gadget_nodes) = {
-            let inst = &self.inst;
-            (
-                inst.n,
-                inst.h as i128,
-                (inst.clique_count() + inst.boundary.len() + 1) as i128,
-            )
-        };
+        let n = self.inst.n;
+        let h = self.inst.h as i128;
+        let gadget_nodes = (self.inst.clique_count() + 1) as i128;
         let pn = self.net.as_mut().expect("just built");
         let scale = pn.scale_for(rho.den());
-        let factor = scale / pn.base_scale();
         let vt_cap = (rho * Ratio::from_int(h)).scale_to_int(scale);
         assert!(vt_cap >= 0, "threshold must be non-negative");
         // "infinite" = more than any finite cut can carry
@@ -320,26 +247,13 @@ impl InstanceSolver {
             .saturating_add(1);
         let mut caps = Vec::with_capacity(pn.param_count());
         for v in 0..n {
-            let dv = self.deg_interior[v]
-                + if self.boundary_enabled {
-                    self.deg_boundary[v]
-                } else {
-                    0
-                };
             caps.push(if forced.is_some_and(|f| f[v]) {
                 inf
             } else {
-                dv * factor
+                self.deg[v] * scale
             });
         }
         caps.resize(2 * n, vt_cap);
-        for &incap in &self.boundary_in_base {
-            caps.push(if self.boundary_enabled {
-                incap * factor
-            } else {
-                0
-            });
-        }
         pn.solve(scale, &caps);
     }
 
@@ -348,8 +262,8 @@ impl InstanceSolver {
     }
 
     /// Minimal maximizer of `|Ψ(A)| − ρ|A|` over vertex subsets: the
-    /// minimal min-cut source side. Empty iff the maximum is 0, i.e. no
-    /// subgraph has h-clique density exceeding `rho`.
+    /// minimal min-cut source side. All-false iff the maximum is 0, i.e.
+    /// no subgraph has h-clique density exceeding `rho` (`IsDensest`).
     pub fn max_excess_set(&mut self, rho: Ratio) -> Vec<bool> {
         if self.instance().n == 0 {
             return Vec::new();
@@ -357,12 +271,6 @@ impl InstanceSolver {
         self.solve(rho, None);
         let side = self.net.as_ref().expect("solved").min_cut_source_side();
         self.vertex_side(&side)
-    }
-
-    /// `IsDensest`: whether no subgraph of the local universe has
-    /// h-clique density strictly greater than `rho`.
-    pub fn is_densest(&mut self, rho: Ratio) -> bool {
-        self.max_excess_set(rho).iter().all(|&b| !b)
     }
 
     /// `DeriveCompact(G, ρ − 1/n², P)`: membership of the union of all
@@ -390,10 +298,6 @@ impl InstanceSolver {
     /// iteration performs at most `n` max-flows (2–5 in practice) — all
     /// on the one retained network, warm-started while ρ climbs.
     pub fn densest_decomposition(&mut self) -> Option<(Ratio, Vec<bool>)> {
-        assert!(
-            self.boundary_enabled || self.instance().boundary.is_empty(),
-            "decomposition needs the boundary cliques enabled"
-        );
         if self.instance().n == 0 || self.instance().clique_count() == 0 {
             return None;
         }
@@ -428,10 +332,6 @@ impl InstanceSolver {
     /// in any clique gain. One retained network serves the whole ladder
     /// across calls with growing `forced` sets.
     pub fn next_density_level(&mut self, forced: &[bool]) -> Option<(Ratio, Vec<bool>)> {
-        assert!(
-            self.boundary_enabled || self.instance().boundary.is_empty(),
-            "decomposition needs the boundary cliques enabled"
-        );
         let n = self.instance().n;
         let forced_count = forced.iter().filter(|&&f| f).count();
         if n == 0 || forced_count == n {
@@ -499,68 +399,36 @@ impl InstanceSolver {
     /// partition; callers building a [`crate::density::DenseDecomposition`]
     /// drop them, exactly like the probe-walk path does.
     pub fn ggt_ladder(&mut self) -> Vec<(Ratio, Vec<bool>)> {
-        assert!(
-            self.boundary_enabled || self.instance().boundary.is_empty(),
-            "decomposition needs the boundary cliques enabled"
-        );
         let inst = &self.inst;
         let n = inst.n;
         if n == 0 {
             return Vec::new();
         }
         let h = inst.h as i128;
-        let fc = inst.clique_count();
-        let bc = inst.boundary.len();
-        let t = (1 + n + fc + bc) as u32;
-        let base = lcm_up_to(inst.h as u32);
+        let t = (1 + n + inst.clique_count()) as u32;
         // Same node layout and capacities as `build_network`, with the
         // terminal arcs as the λ-ladder: src = clique degree, slope = h.
-        let mut g = GgtSolver::new(t as usize + 1, 0, t, base);
+        let mut g = GgtSolver::new(t as usize + 1, 0, t);
         for v in 0..n {
-            let dv = self.deg_interior[v] + self.deg_boundary[v];
-            g.ladder_node((v + 1) as u32, dv, h);
+            g.ladder_node((v + 1) as u32, self.deg[v], h);
         }
         for (i, members) in inst.full.chunks_exact(inst.h).enumerate() {
             let cnode = (1 + n + i) as u32;
             for &v in members {
-                g.add_static(v + 1, cnode, base);
-                g.add_static(cnode, v + 1, (h - 1) * base);
-            }
-        }
-        for (j, b) in inst.boundary.iter().enumerate() {
-            let cnode = (1 + n + fc + j) as u32;
-            let cnt = b.inside.len() as i128;
-            for &v in &b.inside {
-                g.add_static(v + 1, cnode, h * base / cnt);
-                g.add_static(cnode, v + 1, (h - 1) * base);
+                g.add_static(v + 1, cnode, 1);
+                g.add_static(cnode, v + 1, h - 1);
             }
         }
         g.principal_partition_par(self.threads)
     }
 }
 
-/// Number of interior cliques fully inside `set` plus boundary cliques
-/// whose inside members are all in `set` (each counts as one clique, as
-/// in the Figure 7 network).
+/// Number of interior cliques fully inside `set`.
 pub fn count_inside(inst: &LocalInstance, set: &[bool]) -> u64 {
-    let mut c = 0u64;
-    'full: for members in inst.full.chunks_exact(inst.h) {
-        for &v in members {
-            if !set[v as usize] {
-                continue 'full;
-            }
-        }
-        c += 1;
-    }
-    'bnd: for b in &inst.boundary {
-        for &v in &b.inside {
-            if !set[v as usize] {
-                continue 'bnd;
-            }
-        }
-        c += 1;
-    }
-    c
+    inst.full
+        .chunks_exact(inst.h)
+        .filter(|members| members.iter().all(|&v| set[v as usize]))
+        .count() as u64
 }
 
 #[cfg(test)]
@@ -577,6 +445,11 @@ mod tests {
     /// A fresh solver on a copy of `inst` (one network per call).
     fn solver(inst: &LocalInstance) -> InstanceSolver {
         InstanceSolver::new(inst.clone())
+    }
+
+    /// `IsDensest`: no subgraph is denser than `rho`.
+    fn no_excess(inst: &LocalInstance, rho: Ratio) -> bool {
+        solver(inst).max_excess_set(rho).iter().all(|&b| !b)
     }
 
     fn complete(n: usize) -> CsrGraph {
@@ -606,9 +479,9 @@ mod tests {
         let inst = instance_of(&complete(6), 3);
         let rho = inst.density().unwrap();
         assert_eq!(rho, Ratio::new(20, 6));
-        assert!(solver(&inst).is_densest(rho));
+        assert!(no_excess(&inst, rho));
         // but not densest at any smaller threshold
-        assert!(!solver(&inst).is_densest(rho - Ratio::new(1, 100)));
+        assert!(!no_excess(&inst, rho - Ratio::new(1, 100)));
     }
 
     #[test]
@@ -624,7 +497,7 @@ mod tests {
         let inst = instance_of(&b.build(), 3);
         let rho = inst.density().unwrap();
         assert_eq!(rho, Ratio::new(10, 6));
-        assert!(!solver(&inst).is_densest(rho));
+        assert!(!no_excess(&inst, rho));
         // the excess set is exactly the K5
         let set = solver(&inst).max_excess_set(rho);
         assert_eq!(set, vec![true, true, true, true, true, false]);
@@ -687,31 +560,7 @@ mod tests {
         let (rho, members) = solver(&inst).densest_decomposition().unwrap();
         assert_eq!(rho, Ratio::new(13, 6));
         assert!(members.iter().all(|&m| m));
-        assert!(solver(&inst).is_densest(rho));
-    }
-
-    #[test]
-    fn boundary_clique_counts_when_inside_members_kept() {
-        // Universe = one edge {0, 1} (no interior triangle), plus a
-        // boundary triangle with cnt = 2 inside members. Keeping both
-        // members yields 1 clique at density 1/2.
-        let inst = LocalInstance {
-            n: 2,
-            h: 3,
-            full: Vec::new(),
-            boundary: vec![BoundaryClique { inside: vec![0, 1] }],
-        };
-        let all = vec![true, true];
-        assert_eq!(count_inside(&inst, &all), 1);
-        // at rho = 1/2 the pair is exactly compact: no denser subset
-        assert!(solver(&inst).is_densest(Ratio::new(1, 2)));
-        // at a smaller threshold the pair (or a single vertex) has
-        // positive excess
-        let set = solver(&inst).max_excess_set(Ratio::new(1, 3));
-        assert!(set.iter().any(|&b| b));
-        // derive_compact at 1/2 keeps both members
-        let kept = solver(&inst).derive_compact(Ratio::new(1, 2));
-        assert_eq!(kept, vec![true, true]);
+        assert!(no_excess(&inst, rho));
     }
 
     #[test]
@@ -766,7 +615,6 @@ mod tests {
         ] {
             assert_eq!(probe.max_excess_set(rho), solver(&inst).max_excess_set(rho));
             assert_eq!(probe.derive_compact(rho), solver(&inst).derive_compact(rho));
-            assert_eq!(probe.is_densest(rho), solver(&inst).is_densest(rho));
         }
     }
 
@@ -816,54 +664,11 @@ mod tests {
     }
 
     #[test]
-    fn ggt_ladder_covers_boundary_cliques() {
-        let inst = LocalInstance {
-            n: 2,
-            h: 3,
-            full: Vec::new(),
-            boundary: vec![BoundaryClique { inside: vec![0, 1] }],
-        };
-        let ladder = InstanceSolver::new(inst.clone()).ggt_ladder();
-        assert_eq!(ladder, vec![(Ratio::new(1, 2), vec![true, true])]);
-    }
-
-    #[test]
-    fn boundary_toggle_shares_one_network_across_variants() {
-        // An edge with one boundary triangle: with the boundary clique
-        // enabled the pair is 1/2-compact; disabled, the instance holds
-        // no clique at all and DeriveCompact keeps nothing.
-        let inst = LocalInstance {
-            n: 2,
-            h: 3,
-            full: Vec::new(),
-            boundary: vec![BoundaryClique { inside: vec![0, 1] }],
-        };
-        let mut solver = InstanceSolver::new(inst.clone());
-        assert_eq!(solver.derive_compact(Ratio::new(1, 2)), vec![true, true]);
-        solver.set_boundary_enabled(false);
-        assert_eq!(solver.derive_compact(Ratio::new(1, 2)), vec![false, false]);
-        solver.set_boundary_enabled(true);
-        assert_eq!(solver.derive_compact(Ratio::new(1, 2)), vec![true, true]);
-        // the disabled variant equals a boundary-free instance
-        let bare = LocalInstance {
-            n: 2,
-            h: 3,
-            full: Vec::new(),
-            boundary: Vec::new(),
-        };
-        assert_eq!(
-            InstanceSolver::new(bare).derive_compact(Ratio::new(1, 2)),
-            vec![false, false]
-        );
-    }
-
-    #[test]
     fn empty_universe_edge_cases() {
         let inst = LocalInstance {
             n: 0,
             h: 3,
             full: Vec::new(),
-            boundary: Vec::new(),
         };
         assert!(solver(&inst).max_excess_set(Ratio::from_int(1)).is_empty());
         assert!(solver(&inst).derive_compact(Ratio::from_int(1)).is_empty());

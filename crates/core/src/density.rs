@@ -51,19 +51,14 @@ pub struct DenseDecomposition {
 pub fn dense_decomposition(g: &CsrGraph, h: usize) -> DenseDecomposition {
     assert!(h >= 2, "h-clique decomposition requires h >= 2");
     let cliques = CliqueSet::enumerate(g, h);
-    dense_decomposition_with(g, &cliques)
+    dense_decomposition_opts(g, &cliques, FlowReuse::default())
 }
 
-/// Same as [`dense_decomposition`] with a pre-built instance store
-/// (also used for general pattern decompositions).
-pub fn dense_decomposition_with(g: &CsrGraph, cliques: &CliqueSet) -> DenseDecomposition {
-    dense_decomposition_opts(g, cliques, FlowReuse::default())
-}
-
-/// [`dense_decomposition_with`] with the flow-network reuse tier
-/// explicit. Under [`FlowReuse::Ggt`] (the default) the whole ladder is
-/// one GGT principal-partition divide-and-conquer on a single
-/// never-reset network ([`InstanceSolver::ggt_ladder`]); under
+/// [`dense_decomposition`] over a pre-built clique store, with the
+/// flow-network reuse tier explicit. Under [`FlowReuse::Ggt`] (the
+/// default) the whole ladder is one GGT principal-partition
+/// divide-and-conquer on a single never-reset network
+/// ([`InstanceSolver::ggt_ladder`]); under
 /// [`FlowReuse::Scratch`] the marginal-density probe schedule is walked
 /// with a network rebuilt per probe (the reference cost model; the
 /// `flowreuse` bench A/Bs both). Output is bit-identical across tiers.

@@ -50,7 +50,7 @@ use crate::cp::seq_kclist_pp_threaded;
 use crate::decompose::tentative_gd;
 use crate::prune::prune;
 use crate::stable::derive_stable_groups;
-use crate::verify::{verify_fast, BasicVerifier, FastConfig, Verdict};
+use crate::verify::{verify_fast, BasicVerifier, Verdict};
 use lhcds_clique::{CliqueSet, Parallelism};
 use lhcds_flow::{FlowReuse, Ratio};
 use lhcds_graph::traversal::components_within;
@@ -58,7 +58,7 @@ use lhcds_graph::{CsrGraph, VertexId};
 
 /// Tuning knobs of the IPPV pipeline. Defaults match the paper's
 /// experimental configuration (`T = 20` CP iterations, fast
-/// verification, no boundary cliques — see DESIGN.md).
+/// verification).
 #[derive(Debug, Clone)]
 pub struct IppvConfig {
     /// Number of SEQ-kClist++ rounds (`T`; Figure 16 sweeps this).
@@ -66,8 +66,6 @@ pub struct IppvConfig {
     /// Use the reduced-network fast verifier (Algorithm 5) instead of
     /// the full-graph basic verifier (Algorithm 4).
     pub fast_verify: bool,
-    /// Add Figure 7 boundary cliques to the fast verifier's network.
-    pub boundary_cliques: bool,
     /// Safety slack around float-derived bounds (see [`crate::bounds`]).
     pub bound_slack: f64,
     /// Run the convex-program proposal stage (SEQ-kClist++ +
@@ -97,7 +95,6 @@ impl Default for IppvConfig {
         IppvConfig {
             cp_iterations: 20,
             fast_verify: true,
-            boundary_cliques: false,
             bound_slack: DEFAULT_SLACK,
             use_cp: true,
             use_prune: true,
@@ -537,18 +534,8 @@ impl<'a> Driver<'a> {
     ) {
         self.stats.verifications += 1;
         let verdict = if self.cfg.fast_verify {
-            let (verdict, info) = verify_fast(
-                self.g,
-                self.cliques,
-                &m,
-                rho,
-                &self.bounds,
-                &self.output,
-                &FastConfig {
-                    boundary_cliques: self.cfg.boundary_cliques,
-                    need_superset: true,
-                },
-            );
+            let (verdict, info) =
+                verify_fast(self.g, self.cliques, &m, rho, &self.bounds, &self.output);
             if info.shortcut_accept {
                 self.stats.shortcut_accepts += 1;
             }
@@ -613,7 +600,6 @@ impl<'a> Driver<'a> {
                     self.push_candidate(c, false);
                 }
             }
-            Verdict::NotMaximal => unreachable!("driver always requests the superset"),
         }
     }
 

@@ -29,16 +29,16 @@
 //!     vertex can reach compact number `ρ`, so no supergraph exists.
 //!
 //!   Otherwise `DeriveCompact(G[T], ρ − 1/|T|², P)` decides exactly, on
-//!   a flow network built over `G[T]` alone.
+//!   a flow network built over `G[T]` alone. An early reject still runs
+//!   this flow, so the caller gets the blocking superset.
 //!   With this `T` the paper's boundary-clique set `P` is provably
 //!   empty under its own validity rule (a straddling clique would have
 //!   a member with `φ̄ < ρ`, which can belong to no `ρ`-compact
-//!   subgraph); `FastConfig::boundary_cliques` optionally adds the
-//!   straddling cliques anyway — the Figure 7 network with `h/cnt`
-//!   capacities — for the ablation benchmarks.
+//!   subgraph), so the network is the plain Figure 6 gadget over the
+//!   cliques inside `T`.
 
 use crate::bounds::Bounds;
-use crate::compact::{local_instance, BoundaryClique, InstanceSolver, LocalInstance};
+use crate::compact::{local_instance, InstanceSolver};
 use lhcds_clique::CliqueSet;
 use lhcds_flow::{FlowReuse, Ratio};
 use lhcds_graph::traversal::components_within;
@@ -53,15 +53,12 @@ pub enum Verdict {
     /// connected component of the union of maximal `ρ`-compact
     /// subgraphs that contains `S` (parent vertex ids, sorted).
     Superset(Vec<VertexId>),
-    /// `S` is provably not maximal (early bound-based reject); the
-    /// superset was not computed because the caller did not ask for it.
-    NotMaximal,
 }
 
 /// Counters describing how a fast verification was decided.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FastVerifyInfo {
-    /// BFS frontier size `|T|` (0 when rejected before expansion ended).
+    /// BFS closure size `|T|`.
     pub t_size: usize,
     /// Whether the flow network was built and solved.
     pub used_flow: bool,
@@ -69,35 +66,6 @@ pub struct FastVerifyInfo {
     pub shortcut_accept: bool,
     /// Whether an early bound-based reject fired.
     pub early_reject: bool,
-    /// Interior cliques in the reduced network.
-    pub local_cliques: usize,
-    /// Boundary cliques added to the reduced network.
-    pub boundary_cliques: usize,
-}
-
-/// Options for [`verify_fast`].
-#[derive(Debug, Clone, Copy)]
-pub struct FastConfig {
-    /// Add straddling cliques to the reduced network with the Figure 7
-    /// `h/cnt` capacities. Off by default: under this crate's (larger,
-    /// provably sufficient) `T`, inflating straddling cliques can
-    /// manufacture spurious compact supersets and *falsely reject* a
-    /// true LhCDS — the switch exists for the ablation benchmarks only
-    /// (see DESIGN.md).
-    pub boundary_cliques: bool,
-    /// When false, an early reject returns [`Verdict::NotMaximal`]
-    /// without computing the superset (cheaper; used by benchmarks).
-    /// When true, the flow still runs so the caller gets the superset.
-    pub need_superset: bool,
-}
-
-impl Default for FastConfig {
-    fn default() -> Self {
-        FastConfig {
-            boundary_cliques: false,
-            need_superset: true,
-        }
-    }
 }
 
 /// The basic verifier (Algorithm 4) with its whole-graph flow network
@@ -162,7 +130,6 @@ pub fn verify_fast(
     rho: Ratio,
     bounds: &Bounds,
     output_mask: &[bool],
-    cfg: &FastConfig,
 ) -> (Verdict, FastVerifyInfo) {
     debug_assert!(s_sorted.windows(2).all(|w| w[0] < w[1]));
     let mut info = FastVerifyInfo::default();
@@ -178,8 +145,7 @@ pub fn verify_fast(
     }
     let mut queue: std::collections::VecDeque<VertexId> = s_sorted.iter().copied().collect();
     let mut t: Vec<VertexId> = s_sorted.to_vec();
-    let mut rejected = false;
-    'bfs: while let Some(v) = queue.pop_front() {
+    while let Some(v) = queue.pop_front() {
         let v_in_s = in_s[v as usize];
         for &w in g.neighbors(v) {
             if in_t[w as usize] {
@@ -188,12 +154,9 @@ pub fn verify_fast(
             let wi = w as usize;
             if v_in_s && (bounds.lower[wi] > rho_hi || output_mask[wi]) {
                 // a neighbor of S certainly has compact number ≥ ρ: its
-                // compact region merges with S — S is not maximal.
+                // compact region merges with S — S is not maximal. The
+                // BFS goes on: the flow below finds the superset.
                 info.early_reject = true;
-                rejected = true;
-                if !cfg.need_superset {
-                    break 'bfs;
-                }
             }
             if bounds.upper[wi] >= rho_lo {
                 in_t[wi] = true;
@@ -204,25 +167,14 @@ pub fn verify_fast(
     }
     info.t_size = t.len();
 
-    if rejected && !cfg.need_superset {
-        return (Verdict::NotMaximal, info);
-    }
-    if !rejected && t.len() == s_sorted.len() {
+    if !info.early_reject && t.len() == s_sorted.len() {
         info.shortcut_accept = true;
         return (Verdict::Lhcds, info);
     }
 
     t.sort_unstable();
     info.used_flow = true;
-    // Reduced flow network over G[T], solved through the parametric
-    // layer (the boundary in-arcs stay individually tunable there, so
-    // the Figure 6/7 ablation can share one network per instance).
-    let (mut inst, map) = local_instance(cliques, &t);
-    info.local_cliques = inst.clique_count();
-    if cfg.boundary_cliques {
-        collect_boundary_cliques(cliques, &t, &map, &mut inst);
-        info.boundary_cliques = inst.boundary.len();
-    }
+    let (inst, map) = local_instance(cliques, &t);
     let membership = InstanceSolver::new(inst).derive_compact(rho);
     let kept: Vec<VertexId> = map
         .iter()
@@ -231,42 +183,6 @@ pub fn verify_fast(
         .map(|(&v, _)| v)
         .collect();
     (component_verdict(g, s_sorted, &kept), info)
-}
-
-/// Collects cliques that straddle `t` (sorted) into `inst.boundary`,
-/// Figure 7 style. `map` is the local→parent mapping of `inst`.
-fn collect_boundary_cliques(
-    cliques: &CliqueSet,
-    t_sorted: &[VertexId],
-    map: &[VertexId],
-    inst: &mut LocalInstance,
-) {
-    debug_assert_eq!(map, t_sorted);
-    let mut local = vec![u32::MAX; cliques.n()];
-    for (i, &v) in map.iter().enumerate() {
-        local[v as usize] = i as u32;
-    }
-    let mut stamp = vec![false; cliques.len()];
-    for &v in t_sorted {
-        for &ci in cliques.cliques_of(v) {
-            let ci = ci as usize;
-            if stamp[ci] {
-                continue;
-            }
-            stamp[ci] = true;
-            let members = cliques.members(ci);
-            let inside: Vec<u32> = members
-                .iter()
-                .filter_map(|&w| {
-                    let l = local[w as usize];
-                    (l != u32::MAX).then_some(l)
-                })
-                .collect();
-            if !inside.is_empty() && inside.len() < members.len() {
-                inst.boundary.push(BoundaryClique { inside });
-            }
-        }
-    }
 }
 
 /// Shared tail: `S` is an LhCDS iff it equals its connected component
@@ -396,15 +312,7 @@ mod tests {
         let (cs, bounds) = setup(&g, 3);
         let s: Vec<VertexId> = (0..5).collect();
         let outputs = vec![false; g.n()];
-        let (verdict, info) = verify_fast(
-            &g,
-            &cs,
-            &s,
-            Ratio::from_int(2),
-            &bounds,
-            &outputs,
-            &FastConfig::default(),
-        );
+        let (verdict, info) = verify_fast(&g, &cs, &s, Ratio::from_int(2), &bounds, &outputs);
         assert_eq!(verdict, Verdict::Lhcds);
         assert!(info.t_size >= 5);
     }
@@ -415,15 +323,7 @@ mod tests {
         let (cs, bounds) = setup(&g, 3);
         let s: Vec<VertexId> = (0..5).collect();
         let outputs = vec![false; g.n()];
-        let (verdict, _) = verify_fast(
-            &g,
-            &cs,
-            &s,
-            Ratio::from_int(2),
-            &bounds,
-            &outputs,
-            &FastConfig::default(),
-        );
+        let (verdict, _) = verify_fast(&g, &cs, &s, Ratio::from_int(2), &bounds, &outputs);
         match verdict {
             Verdict::Superset(x) => assert_eq!(x, (0..10).collect::<Vec<_>>()),
             other => panic!("expected union superset, got {other:?}"),
@@ -445,15 +345,7 @@ mod tests {
         }
         let s: Vec<VertexId> = (0..5).collect();
         let outputs = vec![false; g.n()];
-        let (verdict, info) = verify_fast(
-            &g,
-            &cs,
-            &s,
-            Ratio::from_int(2),
-            &bounds,
-            &outputs,
-            &FastConfig::default(),
-        );
+        let (verdict, info) = verify_fast(&g, &cs, &s, Ratio::from_int(2), &bounds, &outputs);
         assert_eq!(verdict, Verdict::Lhcds);
         assert!(info.shortcut_accept);
         assert!(!info.used_flow);
@@ -466,21 +358,14 @@ mod tests {
         let s: Vec<VertexId> = (0..5).collect();
         let mut outputs = vec![false; g.n()];
         outputs[5..10].fill(true); // the far K5 was already output
-        let (verdict, info) = verify_fast(
-            &g,
-            &cs,
-            &s,
-            Ratio::from_int(2),
-            &bounds,
-            &outputs,
-            &FastConfig {
-                boundary_cliques: false,
-                need_superset: false,
-            },
-        );
-        assert_eq!(verdict, Verdict::NotMaximal);
+        let (verdict, info) = verify_fast(&g, &cs, &s, Ratio::from_int(2), &bounds, &outputs);
         assert!(info.early_reject);
-        assert!(!info.used_flow);
+        // the reject still runs the flow, so the caller gets the superset
+        assert!(info.used_flow);
+        match verdict {
+            Verdict::Superset(x) => assert_eq!(x, (0..10).collect::<Vec<_>>()),
+            other => panic!("expected union superset, got {other:?}"),
+        }
     }
 
     #[test]
@@ -495,57 +380,12 @@ mod tests {
         let (cs, bounds) = setup(&g, 3);
         let s: Vec<VertexId> = (0..5).collect();
         let outputs = vec![false; g.n()];
-        let (verdict, info) = verify_fast(
-            &g,
-            &cs,
-            &s,
-            Ratio::from_int(2),
-            &bounds,
-            &outputs,
-            &FastConfig::default(),
-        );
+        let (verdict, info) = verify_fast(&g, &cs, &s, Ratio::from_int(2), &bounds, &outputs);
         match verdict {
             Verdict::Superset(x) => assert_eq!(x, (0..6).collect::<Vec<_>>()),
             other => panic!("expected superset, got {other:?}"),
         }
         assert!(info.used_flow);
-    }
-
-    #[test]
-    fn boundary_clique_option_is_exercised() {
-        let g = two_k5_bridge();
-        let (cs, mut bounds) = setup(&g, 3);
-        // Force a T that cuts through the second K5: member 5 may reach
-        // ρ, the rest certainly cannot (artificially tightened bounds).
-        for v in 6..10 {
-            bounds.pin_exact(v, Ratio::new(1, 2));
-        }
-        bounds.pin_exact(5, Ratio::from_int(2));
-        let s: Vec<VertexId> = (0..5).collect();
-        let outputs = vec![false; g.n()];
-        let (verdict, info) = verify_fast(
-            &g,
-            &cs,
-            &s,
-            Ratio::from_int(2),
-            &bounds,
-            &outputs,
-            &FastConfig {
-                boundary_cliques: true,
-                need_superset: true,
-            },
-        );
-        // vertex 5 is in T; its triangles with 6..10 straddle
-        assert!(info.boundary_cliques > 0);
-        // The inflated network credits vertex 5 with its straddling
-        // triangles, keeping it in the compact set: the verdict is a
-        // rejection with superset {0..5}. (The artificial pinned bounds
-        // under-reported the far K5; the true answer for this graph is
-        // that the union of all ten vertices is the only L3CDS.)
-        match verdict {
-            Verdict::Superset(x) => assert_eq!(x, (0..6).collect::<Vec<_>>()),
-            other => panic!("expected superset under boundary inflation, got {other:?}"),
-        }
     }
 
     /// One `BasicVerifier` across many candidates at different ρ must
@@ -625,15 +465,7 @@ mod tests {
             let outputs = vec![false; g.n()];
             for comp in comps {
                 let basic = verify_basic(&g, &cs, &comp, rho);
-                let (fast, _) = verify_fast(
-                    &g,
-                    &cs,
-                    &comp,
-                    rho,
-                    &bounds,
-                    &outputs,
-                    &FastConfig::default(),
-                );
+                let (fast, _) = verify_fast(&g, &cs, &comp, rho, &bounds, &outputs);
                 assert_eq!(basic, fast, "trial {trial}: candidate {comp:?}");
             }
         }

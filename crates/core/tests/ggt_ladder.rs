@@ -3,7 +3,7 @@
 //! min-cut sides) must reproduce exactly the `(density, level)` ladder
 //! that rebuild-per-probe walking produces — on degenerate ladders
 //! (single level, tied densities, clique-free instances), on
-//! boundary-clique instances, and on random graphs at h ∈ {2, 3, 4}.
+//! strict-subset universes, and on random graphs at h ∈ {2, 3, 4}.
 //!
 //! The walk side runs at `FlowReuse::Scratch`, so every probe is a
 //! fresh network and a cold max-flow: the two implementations share no
@@ -75,8 +75,7 @@ fn check_graph(g: &CsrGraph, h: usize) {
     let all: Vec<VertexId> = g.vertices().collect();
     let (inst, _) = local_instance(&cliques, &all);
     check_instance(&inst);
-    // a strict-subset universe makes straddling cliques boundary
-    // cliques, exercising the h·base/|inside| parametric slopes
+    // a strict-subset universe drops the cliques straddling it
     if g.n() >= 4 {
         let half: Vec<VertexId> = (0..g.n() as VertexId / 2).collect();
         let (inst, _) = local_instance(&cliques, &half);

@@ -5,7 +5,7 @@
 //!
 //! A [`GgtSolver`] owns one [`ParametricNetwork`] whose *ladder nodes*
 //! each carry two terminal arcs: a constant-capacity source arc
-//! `s → v` (capacity `src_cap`, expressed at the base scale) and a
+//! `s → v` (integer capacity `src_cap` per unit of scale) and a
 //! sink arc `v → t` whose capacity grows linearly with the parameter,
 //! `λ · slope`. Arbitrary static arcs connect ladder nodes and any
 //! auxiliary gadget nodes. This is exactly the shape of the LhCDS
@@ -127,7 +127,7 @@ struct LadderNode {
     src_idx: usize,
     /// `add_parametric` index of the `node → t` arc.
     sink_idx: usize,
-    /// Source capacity at the base scale (constant in λ).
+    /// Source capacity per unit of scale (constant in λ).
     src_cap: i128,
     /// Sink capacity per unit of λ.
     slope: i128,
@@ -145,8 +145,8 @@ const DEFAULT_FORK_MIN_STRIP: usize = 32;
 pub struct GgtSolver {
     pn: ParametricNetwork,
     nodes: Vec<LadderNode>,
-    /// Σ static base capacities, for the per-solve infinity bound.
-    static_base_total: i128,
+    /// Σ static unit capacities, for the per-solve infinity bound.
+    static_total: i128,
     /// Arcs in the shared network (ladder + static), for telemetry.
     arcs_total: u64,
     solves: u64,
@@ -155,14 +155,13 @@ pub struct GgtSolver {
 }
 
 impl GgtSolver {
-    /// Creates a solver over a network with `nodes` nodes, terminals
-    /// `s != t`, and the given positive base scale for static and
-    /// source capacities.
-    pub fn new(nodes: usize, s: u32, t: u32, base_scale: i128) -> Self {
+    /// Creates a solver over a network with `nodes` nodes and
+    /// terminals `s != t`.
+    pub fn new(nodes: usize, s: u32, t: u32) -> Self {
         GgtSolver {
-            pn: ParametricNetwork::new(nodes, s, t, base_scale),
+            pn: ParametricNetwork::new(nodes, s, t),
             nodes: Vec::new(),
-            static_base_total: 0,
+            static_total: 0,
             arcs_total: 0,
             solves: 0,
             fork_min_strip: DEFAULT_FORK_MIN_STRIP,
@@ -178,7 +177,7 @@ impl GgtSolver {
     }
 
     /// Registers network node `node` as a ladder node with the given
-    /// source capacity (at the base scale) and sink slope, adding both
+    /// integer source capacity and sink slope, adding both
     /// terminal arcs. Returns the ladder index used in
     /// [`GgtSolver::principal_partition`] masks.
     ///
@@ -201,17 +200,12 @@ impl GgtSolver {
         self.nodes.len() - 1
     }
 
-    /// Adds a λ-independent arc with the given capacity at the base
-    /// scale (gadget arcs, boundary credits, …).
-    pub fn add_static(&mut self, from: u32, to: u32, base_cap: i128) {
-        self.pn.add_static(from, to, base_cap);
-        self.static_base_total = self.static_base_total.saturating_add(base_cap);
+    /// Adds a λ-independent arc with the given integer capacity (the
+    /// clique-gadget arcs).
+    pub fn add_static(&mut self, from: u32, to: u32, cap: i128) {
+        self.pn.add_static(from, to, cap);
+        self.static_total = self.static_total.saturating_add(cap);
         self.arcs_total += 1;
-    }
-
-    /// Number of registered ladder nodes.
-    pub fn ladder_len(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Σ slopes over the masked ladder nodes — the λ-coefficient of the
@@ -230,13 +224,12 @@ impl GgtSolver {
     /// maximal source side restricted to ladder indices.
     fn solve_at(&mut self, lam: Ratio, src_pin: &[bool], sink_pin: &[bool]) -> (Ratio, Vec<bool>) {
         let scale = self.pn.scale_for(lam.den());
-        let factor = scale / self.pn.base_scale();
         // A per-solve "infinity": strictly more than every finite cut.
-        let mut finite = self.static_base_total.saturating_mul(factor);
+        let mut finite = self.static_total.saturating_mul(scale);
         for ln in &self.nodes {
             let tc = (lam * Ratio::from_int(ln.slope)).scale_to_int(scale);
             finite = finite
-                .saturating_add(ln.src_cap.saturating_mul(factor))
+                .saturating_add(ln.src_cap.saturating_mul(scale))
                 .saturating_add(tc);
         }
         let inf = finite.saturating_add(1);
@@ -245,7 +238,7 @@ impl GgtSolver {
         for (i, ln) in self.nodes.iter().enumerate() {
             debug_assert!(!(src_pin[i] && sink_pin[i]), "node pinned to both sides");
             pinned += (src_pin[i] || sink_pin[i]) as u64;
-            caps[ln.src_idx] = if src_pin[i] { inf } else { ln.src_cap * factor };
+            caps[ln.src_idx] = if src_pin[i] { inf } else { ln.src_cap * scale };
             caps[ln.sink_idx] = if sink_pin[i] {
                 inf
             } else {
@@ -436,7 +429,6 @@ fn claim_fork_slot(budget: &AtomicUsize) -> bool {
 mod tests {
     use super::*;
     use crate::dinic::Dinic;
-    use crate::rational::lcm;
 
     #[test]
     fn flow_reuse_parses_and_displays() {
@@ -460,7 +452,7 @@ mod tests {
         fn solver(&self) -> GgtSolver {
             let n = self.src.len();
             let (s, t) = (0u32, (n + 1) as u32);
-            let mut g = GgtSolver::new(n + 2, s, t, 1);
+            let mut g = GgtSolver::new(n + 2, s, t);
             for i in 0..n {
                 let idx = g.ladder_node((i + 1) as u32, self.src[i], self.slope[i]);
                 assert_eq!(idx, i);
@@ -475,7 +467,7 @@ mod tests {
         fn smax_fresh(&self, lam: Ratio) -> Vec<bool> {
             let n = self.src.len();
             let (s, t) = (0u32, (n + 1) as u32);
-            let scale = lcm(lam.den(), 1).max(1);
+            let scale = lam.den();
             let mut d = Dinic::new(n + 2);
             for i in 0..n {
                 d.add_edge(s, (i + 1) as u32, self.src[i] * scale);
@@ -601,7 +593,7 @@ mod tests {
 
     #[test]
     fn empty_ladder_yields_empty_partition() {
-        let mut g = GgtSolver::new(2, 0, 1, 1);
+        let mut g = GgtSolver::new(2, 0, 1);
         assert!(g.principal_partition().is_empty());
     }
 

@@ -3,16 +3,17 @@
 //! Exact max-flow / min-cut substrate for the LhCDS verification
 //! algorithms.
 //!
-//! The paper's flow networks (Figures 6 and 7) carry *rational*
-//! capacities: `ρ·h` with `ρ = |Ψh(S)|/|S| − 1/|V|²` and boundary-clique
-//! arcs `1 + (h−cnt)/cnt = h/cnt`. Exactness of the whole pipeline
-//! (Theorem 7) hinges on deciding these min-cuts without rounding, so:
+//! The paper's Figure 6 flow network carries one *rational* capacity
+//! class, the sink arcs `ρ·h` with `ρ = |Ψh(S)|/|S| − 1/|V|²`; every
+//! clique-gadget and degree arc is an integer. Exactness of the whole
+//! pipeline (Theorem 7) hinges on deciding these min-cuts without
+//! rounding, so:
 //!
 //! * [`rational::Ratio`] is a tiny exact rational on `i128` used to carry
 //!   densities and thresholds around the pipeline, and
-//! * [`dinic::Dinic`] runs on `i128` capacities; callers scale all
-//!   rational capacities by one exact common denominator (helpers in
-//!   [`rational`]) so flows are integers and min-cuts are exact.
+//! * [`dinic::Dinic`] runs on `i128` capacities; callers scale every
+//!   capacity by a multiple of the threshold's denominator so flows are
+//!   integers and min-cuts are exact.
 //!
 //! Both the *minimal* and the *maximal* source-side min-cut are exposed:
 //! `DeriveCompact` needs the largest subgraph attaining the optimum

@@ -13,14 +13,14 @@
 //!
 //! A [`ParametricNetwork`] owns a [`Dinic`] plus an arc classification:
 //!
-//! * **static arcs** ([`ParametricNetwork::add_static`]) carry a
-//!   capacity expressed at a fixed *base scale* `B`; at solve scale `D`
-//!   (a multiple of `B`) their capacity is `base_cap · D/B`;
+//! * **static arcs** ([`ParametricNetwork::add_static`]) carry an
+//!   integer unit capacity `c`; at solve scale `D` their capacity is
+//!   `c · D`;
 //! * **parametric arcs** ([`ParametricNetwork::add_parametric`]) get an
 //!   explicit capacity (already expressed at scale `D`) on every solve.
 //!
-//! Exactness forces the scale dance: capacities are rationals (`ρ·h`,
-//! `h/cnt`) and each threshold `ρ = a/b` needs `b | D` for integer
+//! Exactness forces the scale dance: the sink capacities `ρ·h` are
+//! rational and each threshold `ρ = a/b` needs `b | D` for integer
 //! capacities. Because scaling *all* capacities by a common factor
 //! permutes neither the set of minimum cuts nor their canonical minimal
 //! / maximal source sides, any valid `D` yields identical cut-side
@@ -90,8 +90,7 @@ pub struct ParametricNetwork {
     net: Dinic,
     s: u32,
     t: u32,
-    base_scale: i128,
-    /// `(arc, capacity at base scale)` for every static arc.
+    /// `(arc, unit capacity)` for every static arc.
     static_arcs: Vec<(ArcId, i128)>,
     /// Parametric arcs, in `add_parametric` order.
     param_arcs: Vec<ArcId>,
@@ -101,29 +100,25 @@ pub struct ParametricNetwork {
 }
 
 impl ParametricNetwork {
-    /// Creates a network with `nodes` nodes, terminals `s != t`, and
-    /// the given positive base scale.
-    pub fn new(nodes: usize, s: u32, t: u32, base_scale: i128) -> Self {
-        assert!(base_scale > 0, "base scale must be positive");
+    /// Creates a network with `nodes` nodes and terminals `s != t`.
+    pub fn new(nodes: usize, s: u32, t: u32) -> Self {
         assert!(s != t && (s as usize) < nodes && (t as usize) < nodes);
         ParametricNetwork {
             net: Dinic::new(nodes),
             s,
             t,
-            base_scale,
             static_arcs: Vec::new(),
             param_arcs: Vec::new(),
             cur_scale: 0,
         }
     }
 
-    /// Adds a static arc whose capacity at solve scale `D` is
-    /// `base_cap · D / base_scale`.
-    pub fn add_static(&mut self, from: u32, to: u32, base_cap: i128) -> ArcId {
+    /// Adds a static arc whose capacity at solve scale `D` is `cap · D`.
+    pub fn add_static(&mut self, from: u32, to: u32, cap: i128) -> ArcId {
         assert!(self.cur_scale == 0, "arcs must be added before solving");
-        assert!(base_cap >= 0, "negative capacity");
+        assert!(cap >= 0, "negative capacity");
         let arc = self.net.add_edge(from, to, 0);
-        self.static_arcs.push((arc, base_cap));
+        self.static_arcs.push((arc, cap));
         arc
     }
 
@@ -148,21 +143,15 @@ impl ParametricNetwork {
         self.net.node_count()
     }
 
-    /// The base scale static capacities are expressed at.
-    pub fn base_scale(&self) -> i128 {
-        self.base_scale
-    }
-
     /// The `(s, t)` terminals.
     pub fn terminals(&self) -> (u32, u32) {
         (self.s, self.t)
     }
 
     /// Chooses the solve scale for a threshold with denominator `den`:
-    /// a multiple of both `den` and the base scale, preferring one that
-    /// is also a multiple of the retained flow's scale (so the next
-    /// solve *can* warm-start) as long as that stays under the overflow
-    /// guard.
+    /// a multiple of `den`, preferring one that is also a multiple of
+    /// the retained flow's scale (so the next solve *can* warm-start) as
+    /// long as that stays under the overflow guard.
     pub fn scale_for(&self, den: i128) -> i128 {
         assert!(den > 0, "denominator must be positive");
         if self.cur_scale > 0 {
@@ -176,24 +165,23 @@ impl ParametricNetwork {
             // so warm-hit regressions are diagnosable from stats alone.
             stats::SCALE_FALLBACKS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         }
-        checked_lcm(den, self.base_scale).expect("minimal solve scale overflows i128")
+        den
     }
 
-    /// Re-tunes every capacity to scale `scale` (a positive multiple of
-    /// the base scale; use [`ParametricNetwork::scale_for`]), installs
+    /// Re-tunes every capacity to the positive scale `scale` (use
+    /// [`ParametricNetwork::scale_for`]), installs
     /// `param_caps` on the parametric arcs, carries the retained flow
     /// over — retracting its excess on arcs whose capacity shrank — and
     /// runs max-flow.
     pub fn solve(&mut self, scale: i128, param_caps: &[i128]) -> SolveMode {
-        assert!(scale > 0 && scale % self.base_scale == 0, "invalid scale");
+        assert!(scale > 0, "invalid scale");
         assert_eq!(param_caps.len(), self.param_arcs.len(), "capacity slice");
-        let factor = scale / self.base_scale;
 
         // The retained flow is reusable iff the scale ratio q is a
         // positive integer and the rescale overflows nowhere.
         // Mathematically static arcs scale with the network and can
         // never under-run, but both arc classes still get the checked-
-        // multiply guard: a caller with extreme base capacities must
+        // multiply guard: a caller with extreme static capacities must
         // fall back to a cold solve, never install a wrapped flow.
         let q = if self.cur_scale > 0 && scale % self.cur_scale == 0 {
             scale / self.cur_scale
@@ -205,8 +193,8 @@ impl ParametricNetwork {
         let rescaled: Option<Vec<(ArcId, i128, i128)>> = if q > 0 {
             (|| {
                 let mut v = Vec::with_capacity(self.static_arcs.len() + self.param_arcs.len());
-                for &(arc, base_cap) in &self.static_arcs {
-                    let cap = base_cap.checked_mul(factor)?;
+                for &(arc, unit) in &self.static_arcs {
+                    let cap = unit.checked_mul(scale)?;
                     let flow = self.net.current_flow(arc).checked_mul(q)?;
                     v.push((arc, cap, flow));
                 }
@@ -247,8 +235,8 @@ impl ParametricNetwork {
                 SolveMode::Retract
             }
             _ => {
-                for &(arc, base_cap) in &self.static_arcs {
-                    self.net.set_state(arc, base_cap * factor, 0);
+                for &(arc, unit) in &self.static_arcs {
+                    self.net.set_state(arc, unit * scale, 0);
                 }
                 for (&arc, &cap) in self.param_arcs.iter().zip(param_caps) {
                     self.net.set_state(arc, cap, 0);
@@ -292,10 +280,10 @@ mod tests {
     use super::*;
 
     /// The Figure-6 shape in miniature: s=0, two "vertices" 1 and 2, a
-    /// gadget node 3, t=4. Static gadget arcs at base scale 2;
-    /// parametric s→v and v→t arcs.
+    /// gadget node 3, t=4. Static gadget arcs with unit capacities 2 and
+    /// 4; parametric s→v and v→t arcs.
     fn tiny() -> (ParametricNetwork, [usize; 4]) {
-        let mut pn = ParametricNetwork::new(5, 0, 4, 2);
+        let mut pn = ParametricNetwork::new(5, 0, 4);
         pn.add_static(1, 3, 2);
         pn.add_static(3, 2, 4);
         let s1 = pn.add_parametric(0, 1);
@@ -308,10 +296,9 @@ mod tests {
     /// A fresh plain Dinic with the same topology at the given scale and
     /// parametric caps, for ground truth.
     fn fresh(scale: i128, caps: &[i128; 4]) -> Dinic {
-        let f = scale / 2;
         let mut d = Dinic::new(5);
-        d.add_edge(1, 3, 2 * f);
-        d.add_edge(3, 2, 4 * f);
+        d.add_edge(1, 3, 2 * scale);
+        d.add_edge(3, 2, 4 * scale);
         d.add_edge(0, 1, caps[0]);
         d.add_edge(0, 2, caps[1]);
         d.add_edge(1, 4, caps[2]);
@@ -327,7 +314,7 @@ mod tests {
         let schedule: [[i128; 4]; 4] = [[6, 6, 1, 1], [6, 6, 2, 2], [6, 6, 4, 3], [6, 6, 9, 9]];
         for (i, caps) in schedule.iter().enumerate() {
             let scale = pn.scale_for(1);
-            assert_eq!(scale % 2, 0);
+            assert_eq!(scale, 1);
             let mode = pn.solve(scale, caps);
             assert_eq!(
                 mode,
@@ -348,19 +335,19 @@ mod tests {
     #[test]
     fn scale_changes_rescale_the_retained_flow() {
         let (mut pn, _) = tiny();
-        // denominator 3 → scale 6; then denominator 1 keeps 6 (warm
-        // compatible); then denominator 5 → lcm 30, q = 5
+        // denominator 3 → scale 3; then denominator 1 keeps 3 (warm
+        // compatible); then denominator 5 → lcm 15, q = 5
         let s1 = pn.scale_for(3);
-        assert_eq!(s1, 6);
+        assert_eq!(s1, 3);
         pn.solve(s1, &[9, 9, 2, 2]);
         let s2 = pn.scale_for(1);
-        assert_eq!(s2, 6, "retained scale already covers den 1");
+        assert_eq!(s2, 3, "retained scale already covers den 1");
         assert_eq!(pn.solve(s2, &[9, 9, 3, 3]), SolveMode::Warm);
         let s3 = pn.scale_for(5);
-        assert_eq!(s3, 30);
+        assert_eq!(s3, 15);
         let mode = pn.solve(s3, &[45, 45, 20, 20]);
         assert_eq!(mode, SolveMode::Warm);
-        let mut d = fresh(30, &[45, 45, 20, 20]);
+        let mut d = fresh(15, &[45, 45, 20, 20]);
         d.max_flow(0, 4);
         assert_eq!(pn.min_cut_source_side(), d.min_cut_source_side(0));
         assert_eq!(pn.max_cut_source_side(), d.max_cut_source_side(4));
@@ -400,10 +387,10 @@ mod tests {
         let (mut pn, _) = tiny();
         let schedule: [(i128, [i128; 4]); 6] = [
             (1, [6, 6, 2, 2]),
-            (3, [18, 18, 12, 12]), // scale 6, growth: warm
+            (3, [18, 18, 12, 12]), // scale 3, growth: warm
             (3, [18, 18, 3, 3]),   // shrink: retract
             (1, [18, 18, 0, 0]),   // shrink to zero
-            (5, [90, 90, 60, 45]), // scale 30, growth again
+            (5, [90, 90, 60, 45]), // scale 15, growth again
             (2, [90, 90, 10, 80]), // mixed shrink/growth
         ];
         for (i, (den, caps)) in schedule.iter().enumerate() {
@@ -431,13 +418,13 @@ mod tests {
         pn.cur_scale = SCALE_LIMIT / 2; // pretend a huge retained chain
                                         // a coprime denominator would chain past the limit → minimal
         let s = pn.scale_for(3);
-        assert_eq!(s, 6);
+        assert_eq!(s, 3);
     }
 
     #[test]
     #[should_panic(expected = "invalid scale")]
-    fn non_multiple_scale_is_rejected() {
+    fn non_positive_scale_is_rejected() {
         let (mut pn, _) = tiny();
-        pn.solve(3, &[1, 1, 1, 1]);
+        pn.solve(0, &[1, 1, 1, 1]);
     }
 }

@@ -36,12 +36,6 @@ pub fn lcm(a: i128, b: i128) -> i128 {
     (a / gcd(a, b)) * b
 }
 
-/// `lcm(1..=h)` — the common denominator of the paper's boundary-clique
-/// capacities `h / cnt` for `cnt ∈ 1..=h`.
-pub fn lcm_up_to(h: u32) -> i128 {
-    (1..=h as i128).fold(1, lcm)
-}
-
 impl Ratio {
     /// Creates `num / den` in lowest terms.
     ///
@@ -246,9 +240,6 @@ mod tests {
         assert_eq!(gcd(0, 0), 0);
         assert_eq!(lcm(4, 6), 12);
         assert_eq!(lcm(0, 3), 0);
-        assert_eq!(lcm_up_to(1), 1);
-        assert_eq!(lcm_up_to(5), 60);
-        assert_eq!(lcm_up_to(10), 2520);
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //!   [`FlowStats::cold_solves`] derives the historical cold total.
 //! * `scale_fallbacks` — [`crate::ParametricNetwork::scale_for`] calls
 //!   whose chained-lcm scale would have overflowed and restarted from
-//!   the base scale (each one forfeits warm starts; previously silent).
+//!   the threshold's own denominator (each one forfeits warm starts;
+//!   previously silent).
 //! * `ggt_*` — [`crate::GgtSolver`] divide-and-conquer telemetry:
 //!   recursive interval splits, the deepest recursion reached
 //!   (process-wide high-water mark), nodes carried through a recursive

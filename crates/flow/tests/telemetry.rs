@@ -37,7 +37,7 @@ fn parametric_counts_builds_and_solve_modes() {
     let before = flow_stats();
     // s=0, vertices {1, 2}, gadget node 3, t=4 — the Figure 6 shape in
     // miniature
-    let mut pn = ParametricNetwork::new(5, 0, 4, 2);
+    let mut pn = ParametricNetwork::new(5, 0, 4);
     pn.add_static(1, 3, 2);
     pn.add_static(3, 2, 4);
     for (from, to) in [(0u32, 1u32), (0, 2), (1, 4), (2, 4)] {
@@ -69,7 +69,7 @@ fn parametric_counts_builds_and_solve_modes() {
 fn since_reports_ggt_depth_as_gauge_not_delta() {
     let _quiet = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     // deep run first: four distinct levels force nested interval splits
-    let mut deep = GgtSolver::new(6, 0, 5, 1);
+    let mut deep = GgtSolver::new(6, 0, 5);
     deep.ladder_node(1, 24, 2);
     deep.ladder_node(2, 12, 2);
     deep.ladder_node(3, 6, 2);
@@ -80,7 +80,7 @@ fn since_reports_ggt_depth_as_gauge_not_delta() {
 
     // snapshot, then strictly shallower work
     let before = flow_stats();
-    let mut shallow = GgtSolver::new(4, 0, 3, 1);
+    let mut shallow = GgtSolver::new(4, 0, 3);
     shallow.ladder_node(1, 4, 2);
     shallow.ladder_node(2, 4, 2); // same level → no split at all
     assert_eq!(shallow.principal_partition().len(), 1);
@@ -111,14 +111,14 @@ fn counters_hold_under_four_concurrent_ladders() {
             scope.spawn(move || {
                 // each worker owns a solver; only the global counters
                 // are shared
-                let mut g = GgtSolver::new(5, 0, 4, 1);
+                let mut g = GgtSolver::new(5, 0, 4);
                 g.ladder_node(1, 12 + i128::from(w), 2);
                 g.ladder_node(2, 6, 2);
                 g.ladder_node(3, 2, 2);
                 let part = g.principal_partition();
                 assert!(!part.is_empty());
 
-                let mut pn = ParametricNetwork::new(4, 0, 3, 2);
+                let mut pn = ParametricNetwork::new(4, 0, 3);
                 pn.add_static(1, 2, 3);
                 for (from, to) in [(0u32, 1u32), (0, 2), (1, 3), (2, 3)] {
                     pn.add_parametric(from, to);
@@ -148,7 +148,7 @@ fn ggt_partition_builds_one_network_and_counts_recursions() {
     let _quiet = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     let before = flow_stats();
     // two independent levels → at least one interval split
-    let mut g = GgtSolver::new(4, 0, 3, 1);
+    let mut g = GgtSolver::new(4, 0, 3);
     g.ladder_node(1, 6, 2);
     g.ladder_node(2, 2, 2);
     let part = g.principal_partition();

@@ -13,15 +13,13 @@
 //! * the instance *set* matches a brute-force oracle: the same motif
 //!   re-enumerated through the independent `CustomPattern` backtracking
 //!   path (ordered search + automorphism-orbit dedup);
-//! * a threaded request actually takes the threaded path
-//!   (`parallel_collect_invocations` rises) while serial never does;
 //! * `top_k_lhxpds` / `top_k_custom` answers are identical at every
 //!   thread count.
 //!
 //! Graphs: the paper's Figure 2 worked example, complete graphs, sparse
 //! degenerate shapes, and proptest-random graphs.
 
-use lhcds_clique::{parallel_collect_invocations, CliqueSet, Parallelism};
+use lhcds_clique::{CliqueSet, Parallelism};
 use lhcds_core::pipeline::IppvConfig;
 use lhcds_graph::{CsrGraph, GraphBuilder, VertexId};
 use lhcds_patterns::{
@@ -170,46 +168,6 @@ fn custom_pattern_parallel_matches_serial() {
         let threaded = c5.enumerate_with(&g, &par);
         assert_stores_identical(&serial, &threaded, &format!("c5 threads={t}"));
     }
-}
-
-/// Pins that a requested thread policy is *honored*, not silently
-/// dropped to serial: a threads(4) enumeration must take the threaded
-/// block-collect path (the process-wide counter rises), while serial
-/// enumeration never touches it.
-#[test]
-fn parallelism_is_honored_not_dropped() {
-    let g = lhcds_data::figure2_graph();
-    let patterns = [
-        Pattern::Triangle, // kClist collect path
-        Pattern::Star3,
-        Pattern::Path4,
-        Pattern::TailedTriangle,
-        Pattern::Cycle4,
-        Pattern::Diamond, // bespoke par_collect_blocks paths
-    ];
-    for p in patterns {
-        let before = parallel_collect_invocations();
-        enumerate_pattern_with(&g, p, &Parallelism::serial());
-        assert_eq!(
-            parallel_collect_invocations(),
-            before,
-            "{}: serial enumeration took the threaded path",
-            p.key()
-        );
-        enumerate_pattern_with(&g, p, &Parallelism::threads(4));
-        assert!(
-            parallel_collect_invocations() > before,
-            "{}: threads(4) was silently dropped to serial",
-            p.key()
-        );
-    }
-    // the custom backtracker shards through the same collect
-    let c5 = CustomPattern::new("c5", 5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]).unwrap();
-    let before = parallel_collect_invocations();
-    c5.enumerate(&g);
-    assert_eq!(parallel_collect_invocations(), before);
-    c5.enumerate_with(&g, &Parallelism::threads(4));
-    assert!(parallel_collect_invocations() > before);
 }
 
 /// End-to-end: the full LhxPDS pipeline gives identical answers at

@@ -5,8 +5,9 @@
 //! per network, driving the whole ladder by principal-partition
 //! recursion; the default) — on the paper's Figure 2 worked example, on
 //! generated community graphs, and on a CM stand-in whose verify tail
-//! decides most candidates by flow.
+//! decides most candidates by flow (there also at 2 threads).
 
+use lhcds::clique::Parallelism;
 use lhcds::core::density::dense_decomposition_opts;
 use lhcds::core::index::{DecompositionIndex, IndexConfig};
 use lhcds::core::pipeline::{top_k_lhcds, IppvConfig};
@@ -90,6 +91,23 @@ fn planted_communities_are_reuse_invariant() {
         "the tail must be flow-decided: {stats:?}"
     );
     check_graph(&cm, 3);
+    // Threads must not move the tail's answers either, under both
+    // verifier families.
+    for fast in [true, false] {
+        let serial = IppvConfig {
+            fast_verify: fast,
+            ..IppvConfig::default()
+        };
+        let threaded = IppvConfig {
+            parallelism: Parallelism::threads(2),
+            ..serial.clone()
+        };
+        assert_eq!(
+            top_k_lhcds(&cm, 3, usize::MAX, &threaded).subgraphs,
+            top_k_lhcds(&cm, 3, usize::MAX, &serial).subgraphs,
+            "CM threads=2 fast={fast}"
+        );
+    }
 }
 
 #[test]
